@@ -459,6 +459,19 @@ def _emit(report: DecompositionReport, out: Optional[str]) -> None:
 
 
 def main(argv=None) -> int:
+    # Exact weights can outgrow the int-to-string limit of Python 3.10.7+.
+    # The limit is process-wide, so only this entry point lifts it, until return.
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if saved:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
+
+
+def _main(argv) -> int:
     try:
         config = parse_config(argv)
     except CLIUsageError as bad:

@@ -34,7 +34,6 @@ from .geometry import (
     ConvexCombination,
     RVector,
     RationalLike,
-    l1_distance,
     to_rational,
 )
 

@@ -3,8 +3,8 @@
 Two problem families ship with the package.  Knapsack is the nontrivial
 one: its relaxation has an exact closed-form optimum (fractional greedy),
 so no external LP solver is needed, and the classic greedy-or-best-single
-rule verifies a gap of 2.  Explicit polytopes store their feasible points
-outright, closed downward on construction, and verify a gap of 1 by exact
+rule verifies a gap of 2.  Explicit polytopes are stored as listed, enumerate
+nothing on load, test membership by dominance and verify a gap of 1 by exact
 maximization; they are the workhorse for oracle-backed testing.
 """
 
@@ -241,63 +241,46 @@ class KnapsackProblem(PackingProblem):
 
 
 class ExplicitPolytope:
-    """A feasible set stored point by point, closed downward on construction.
+    """The downward closure of the listed points, stored as listed.
 
-    Lowering any coordinate of a feasible point must stay feasible, so the
-    constructor completes the given set and reports what it had to add via
-    :attr:`closure_added`.
+    A point is feasible if it is the origin or a listed point dominates it,
+    so membership is a dominance test and nothing is enumerated on load.
     """
 
     def __init__(self, n: int, points: Iterable[BinaryPoint]):
         if n < 1:
             raise InstanceFormatError(f"dimension must be positive, got {n}")
-        seeds = set()
-        for p in points:
+        self._n = n
+        self._seeds = frozenset(points)
+        for p in self._seeds:
             if p.dim != n:
                 raise DimensionMismatch(
                     f"point {p!r} has dimension {p.dim}, expected {n}"
                 )
-            seeds.add(p)
-        closed = {BinaryPoint.origin(n)}
-        for p in seeds:
-            ones = p.ones()
-            for pattern in itertools.product((0, 1), repeat=len(ones)):
-                bits = [0] * n
-                for k, keep in zip(ones, pattern):
-                    bits[k] = keep
-                closed.add(BinaryPoint(bits))
-        self._n = n
-        self._points = frozenset(closed)
-        self._closure_added = frozenset(closed - seeds)
-        self._ordered = tuple(sorted(self._points, key=lambda p: p.bits))
 
     @property
     def n(self) -> int:
         return self._n
 
     @property
-    def points(self) -> FrozenSet[BinaryPoint]:
-        return self._points
-
-    @property
-    def closure_added(self) -> FrozenSet[BinaryPoint]:
-        """Points the downward closure added beyond the given ones."""
-        return self._closure_added
-
-    def ordered_points(self) -> Tuple[BinaryPoint, ...]:
-        return self._ordered
+    def seeds(self) -> FrozenSet[BinaryPoint]:
+        """The listed points, without duplicates."""
+        return self._seeds
 
     def __contains__(self, point: BinaryPoint) -> bool:
-        return point in self._points
+        if point.dim != self._n:
+            return False
+        return point.is_origin() or any(s.dominates(point) for s in self._seeds)
 
 
 class ExplicitVerifier(GapVerifier):
-    """Exact maximization over the stored points; verifies a gap of 1.
+    """Exact maximization over the downward closure; verifies a gap of 1.
 
-    For a nonnegative objective the relaxation over the convex hull of a
-    downward-closed point set peaks at a stored point, so exact enumeration
-    is a verifier with no gap at all.  Ties go to the lexicographically
-    smallest point.
+    The relaxation peaks at a feasible point, so exact maximization has no
+    gap.  Ties go to the lexicographically smallest point.  A listed point
+    with the coordinates the objective ignores cleared is the best, and the
+    smallest of the best, points below it; so the best such masked point,
+    or the origin when none is listed, is the answer over the closure.
     """
 
     def __init__(self, polytope: ExplicitPolytope):
@@ -311,13 +294,17 @@ class ExplicitVerifier(GapVerifier):
             )
         _require_nonnegative(mu)
         return min(
-            self._polytope.ordered_points(),
+            (
+                BinaryPoint([b if c else 0 for b, c in zip(seed.bits, mu)])
+                for seed in self._polytope.seeds
+            ),
             key=lambda p: (-_point_value(mu, p), p.bits),
+            default=BinaryPoint.origin(self._polytope.n),
         )
 
 
 class ExplicitProblem(PackingProblem):
-    """Packing problem given by an explicit, downward-closed point list."""
+    """Packing problem whose feasible set is the downward closure of a point list."""
 
     kind = "explicit"
 

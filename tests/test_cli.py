@@ -1,9 +1,11 @@
+import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from convdecomp import BinaryPoint, ConvexCombination, RVector
+from convdecomp import BinaryPoint, ConvexCombination, RVector, load_instance
 from convdecomp import cli
 from convdecomp.cli import DecompositionReport, RunConfig, main, run, sample
 from helpers import OriginVerifier
@@ -253,3 +255,50 @@ class TestMain:
         assert rc == 3
         err = capsys.readouterr().err
         assert "certificate objective" in err
+
+    def test_all_ones_point_at_n_40_loads_and_decomposes(self, tmp_path, capsys):
+        # Enumerating this point's downward closure would take 2^40 steps.
+        path = tmp_path / "ones40.json"
+        data = {"problem": "explicit", "n": 40, "points": [[1] * 40]}
+        path.write_text(json.dumps(data, separators=(",", ":")))
+        assert len(path.read_bytes()) < 140
+        problem = load_instance(str(path))
+        assert problem.feasible(BinaryPoint([1] * 40))
+        out = tmp_path / "report.json"
+        mu = ",".join(str(k % 3) for k in range(40))
+        rc = main(
+            [
+                "--instance", str(path),
+                "--mu", mu,
+                "--epsilon", "1",
+                "--verify",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        report = DecompositionReport.from_json(out.read_text())
+        assert report.verification.passed
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="interpreter has no int-to-string limit",
+    )
+    def test_weight_beyond_int_str_limit_is_written(
+        self, cube_file, tmp_path, capsys, monkeypatch
+    ):
+        q = 10**5001 + 1
+        heavy = ConvexCombination(
+            {BinaryPoint([1, 0]): F(1, q), BinaryPoint([0, 0]): 1 - F(1, q)}
+        )
+        config = RunConfig(instance=cube_file, epsilon=F(1, 2), mu=RVector([1, 0]))
+        report = dataclasses.replace(run(config), support=heavy)
+        monkeypatch.setattr(cli, "run", lambda config: report)
+        limit = sys.get_int_max_str_digits()
+        out = tmp_path / "report.json"
+        rc = main(
+            ["--instance", cube_file, "--mu", "1,0", "--epsilon", "1/2", "--out", str(out)]
+        )
+        assert rc == 0
+        assert sys.get_int_max_str_digits() == limit
+        weights = [entry["weight"] for entry in json.loads(out.read_text())["support"]]
+        assert max(len(w) for w in weights) > 5000

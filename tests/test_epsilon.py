@@ -11,6 +11,7 @@ from convdecomp import (
     RVector,
     VerifierGapViolation,
     decompose_epsilon,
+    feasible_points,
     iteration_budget,
     optimal_step,
     squared_l2,
@@ -154,7 +155,7 @@ class TestRunInvariants:
         rng = random.Random(32)
         for _ in range(15):
             problem = random_explicit_problem(rng, rng.randint(2, 5))
-            lam = random_combination(rng, problem.polytope.points, max_support=3)
+            lam = random_combination(rng, feasible_points(problem), max_support=3)
             target = lam.barycenter()
             for epsilon in (F(1, 2), F(1, 10)):
                 self._check_run(problem, target, epsilon)

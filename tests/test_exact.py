@@ -15,6 +15,7 @@ from convdecomp import (
     build_dominating,
     ceil_sqrt,
     decompose_exact,
+    feasible_points,
     l1_distance,
     minimum_slack,
     reduce_to_exact,
@@ -109,7 +110,7 @@ class TestBuildDominating:
         for _ in range(120):
             n = rng.randint(1, 8)
             problem = cube_problem(n)
-            lam = random_combination(rng, problem.polytope.points, max_support=4)
+            lam = random_combination(rng, feasible_points(problem), max_support=4)
             # target anywhere in the unit box, including components the
             # combination overshoots
             target = RVector([F(rng.randint(0, 8), 8) for _ in range(n)])
@@ -182,7 +183,7 @@ class TestReduceToExact:
         for _ in range(150):
             n = rng.randint(1, 8)
             problem = cube_problem(n)
-            lam = random_combination(rng, problem.polytope.points, max_support=5)
+            lam = random_combination(rng, feasible_points(problem), max_support=5)
             sigma = lam.barycenter()
             # random target below the barycenter, often equal on components
             target = RVector(

@@ -8,6 +8,7 @@ from convdecomp import (
     ConvexCombination,
     DimensionMismatch,
     RVector,
+    feasible_points,
     l1_distance,
     mix,
     squared_l2,
@@ -196,7 +197,7 @@ class TestRandomizedProperties:
         for _ in range(150):
             n = rng.randint(1, 8)
             prob = cube_problem(n)
-            lam = random_combination(rng, prob.polytope.points, max_support=5)
+            lam = random_combination(rng, feasible_points(prob), max_support=5)
             total = sum((w for _, w in lam.items()), F(0))
             assert total == 1
             assert all(w > 0 for _, w in lam.items())
@@ -209,8 +210,8 @@ class TestRandomizedProperties:
         for _ in range(150):
             n = rng.randint(1, 8)
             prob = cube_problem(n)
-            a = random_combination(rng, prob.polytope.points, max_support=4)
-            b = random_combination(rng, prob.polytope.points, max_support=4)
+            a = random_combination(rng, feasible_points(prob), max_support=4)
+            b = random_combination(rng, feasible_points(prob), max_support=4)
             wa = F(rng.randint(0, 16), 16)
             merged = mix(a, wa, b, 1 - wa)
             expected = a.barycenter().scale(wa) + b.barycenter().scale(1 - wa)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from convdecomp import (
     BinaryPoint,
@@ -99,15 +100,54 @@ class TestKnapsackLP:
             KnapsackInstance([1, 2], 0)
 
 
+def closure_by_subsets(n, rows):
+    """Downward closure of the rows, built by enumerating subsets of each."""
+    closed = {BinaryPoint.origin(n)}
+    for row in rows:
+        ones = [k for k, b in enumerate(row) if b]
+        for pattern in itertools.product((0, 1), repeat=len(ones)):
+            bits = [0] * n
+            for k, keep in zip(ones, pattern):
+                bits[k] = keep
+            closed.add(BinaryPoint(bits))
+    return closed
+
+
+@st.composite
+def explicit_cases(draw):
+    """(n, listed rows, nonnegative objective) with zeros and ties likely."""
+    n = draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=6))
+    weights = st.fractions(min_value=0, max_value=2, max_denominator=2)
+    mu = draw(st.lists(weights, min_size=n, max_size=n))
+    return n, rows, mu
+
+
 class TestExplicitPolytope:
     def test_closure_is_computed_and_reported(self):
         poly = ExplicitPolytope(2, [BinaryPoint([1, 0]), BinaryPoint([0, 1])])
-        assert poly.points == {
+        closure = set(feasible_points(ExplicitProblem(poly)))
+        assert closure == {
             BinaryPoint([0, 0]),
             BinaryPoint([1, 0]),
             BinaryPoint([0, 1]),
         }
-        assert poly.closure_added == {BinaryPoint([0, 0])}
+        assert closure - set(poly.seeds) == {BinaryPoint([0, 0])}
+
+    @settings(deadline=None)
+    @given(explicit_cases())
+    @example((3, [], [0, 1, 1]))
+    @example((3, [[0, 0, 0]], [1, 0, 2]))
+    @example((3, [[1, 1, 0], [1, 1, 0], [0, 1, 1]], [1, 0, 1]))
+    def test_dominance_matches_enumerated_closure(self, case):
+        n, rows, mu = case
+        problem = ExplicitProblem(ExplicitPolytope(n, [BinaryPoint(r) for r in rows]))
+        closure = set(feasible_points(problem))
+        assert closure == closure_by_subsets(n, rows)
+        mu = RVector(mu)
+        best = min(closure, key=lambda p: (-mu.dot(p.as_vector()), p.bits))
+        assert problem.verifier.query(mu) == best
 
     def test_stored_set_equals_its_own_closure(self):
         rng = random.Random(92)
@@ -118,7 +158,7 @@ class TestExplicitPolytope:
                 for _ in range(rng.randint(1, 4))
             ]
             poly = ExplicitPolytope(n, seeds)
-            for p in poly.points:
+            for p in feasible_points(ExplicitProblem(poly)):
                 for bits in itertools.product(*[(0, b) if b else (0,) for b in p.bits]):
                     assert BinaryPoint(bits) in poly
 
