@@ -39,8 +39,6 @@ from .geometry import (
     BinaryPoint,
     ConvexCombination,
     RVector,
-    l1_distance,
-    mix,
     squared_l2,
     to_rational,
 )
@@ -53,9 +51,6 @@ from .problems import (
     KnapsackVerifier,
     PackingProblem,
     ValidationReport,
-    brute_force_integer_bound,
-    brute_force_lp_bound,
-    feasible_points,
     load_instance,
     validate_decomposition,
 )
@@ -90,19 +85,14 @@ __all__ = [
     "ValidationReport",
     "VerifierGapViolation",
     "VerifierViolation",
-    "brute_force_integer_bound",
-    "brute_force_lp_bound",
     "build_dominating",
     "ceil_sqrt",
     "clip_negative",
     "decompose_epsilon",
     "decompose_exact",
-    "feasible_points",
     "iteration_budget",
-    "l1_distance",
     "load_instance",
     "minimum_slack",
-    "mix",
     "optimal_step",
     "reduce_to_exact",
     "squared_l2",

@@ -1,13 +1,15 @@
 """Iterative decomposition to within a prescribed distance of the target.
 
-The loop maintains a convex combination of verifier answers, starting from a
-point mass on the origin.  Each round queries the extended verifier in the
-direction of the remaining residual, then replaces the combination by the
-point of the segment between the current barycenter and the sampled point
-that is closest to the target.  For a target inside the alpha-scaled
-feasible region and an honest verifier, the squared residual after i rounds
-is at most n/(i+1), so at most ceil(n / epsilon^2) - 1 rounds are needed to
-bring the residual within epsilon.
+The loop keeps a plain map from verifier answers to weights, starting from
+weight 1 on the origin, and builds the convex combination from it once, on
+return.  Each round queries the extended verifier in the direction of the
+remaining residual, then moves the barycenter to the point of the segment
+between it and the sampled point that is closest to the target: every weight
+is multiplied by the step and the sampled point gains one minus the step.
+For a target inside the alpha-scaled feasible region and an honest verifier,
+the squared residual after i rounds is at most n/(i+1), so at most
+ceil(n / epsilon^2) - 1 rounds are needed to bring the residual within
+epsilon.
 
 Every round cross-checks the verifier's answer against the separating
 inequality the gap contract implies; a violation aborts the run with a
@@ -27,7 +29,6 @@ from .geometry import (
     ConvexCombination,
     RVector,
     RationalLike,
-    mix,
     squared_l2,
     to_rational,
 )
@@ -125,8 +126,8 @@ def decompose_epsilon(
             raise ValueError(f"target component {k} is {c}, outside [0, 1]")
 
     epsilon_sq = epsilon * epsilon
-    combination = ConvexCombination.point_mass(BinaryPoint.origin(n))
-    current = combination.barycenter()
+    weights = {BinaryPoint.origin(n): _ONE}
+    current = RVector.zeros(n)
     residual = target - current
     residual_sq = squared_l2(residual)
     trace = []
@@ -151,12 +152,12 @@ def decompose_epsilon(
                 iteration=i,
             )
         step = optimal_step(current, sampled, target)
-        combination = mix(
-            combination, step, ConvexCombination.point_mass(sampled), _ONE - step
-        )
+        for point in weights:
+            weights[point] *= step
+        weights[sampled] = weights.get(sampled, _ZERO) + (_ONE - step)
         trace.append(IterationRecord(residual_sq, step, sampled))
         queried = residual
-        # Barycenter of the mixture, updated incrementally (exact by linearity).
+        # Barycenter of the new weights, updated incrementally (exact by linearity).
         current = current.scale(step) + sampled.as_vector().scale(_ONE - step)
         residual = target - current
         new_sq = squared_l2(residual)
@@ -174,6 +175,6 @@ def decompose_epsilon(
         target=target,
         epsilon=epsilon,
         trace=tuple(trace),
-        result=combination,
+        result=ConvexCombination(weights),
         final_squared_residual=residual_sq,
     )

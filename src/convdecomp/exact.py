@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from .epsilon import EpsilonRun, decompose_epsilon
 from .errors import (
@@ -192,7 +192,6 @@ def decompose_exact(
     epsilon: RationalLike,
     *,
     overall: bool = False,
-    slack: Optional[RationalLike] = None,
 ) -> ExactRun:
     """Decompose ``xstar / (alpha * (1 + s))`` exactly into feasible points.
 
@@ -201,8 +200,7 @@ def decompose_exact(
     slack is s = ceil(sqrt(n)) * epsilon.  With ``overall=True`` the
     precision phase runs at epsilon / ceil(sqrt(n)) instead, so the slack,
     and hence the extra scaling, is epsilon itself at the cost of more
-    iterations.  A custom ``slack`` may be supplied as long as it is at
-    least the minimum for the chosen precision.
+    iterations.
     """
     epsilon = to_rational(epsilon)
     if epsilon <= 0:
@@ -221,12 +219,7 @@ def decompose_exact(
 
     r = ceil_sqrt(n)
     precision = epsilon / r if overall else epsilon
-    s = minimum_slack(n, precision) if slack is None else to_rational(slack)
-    if s < minimum_slack(n, precision):
-        raise ValueError(
-            f"slack {s} is below the minimum {minimum_slack(n, precision)} "
-            f"for n={n}, precision={precision}"
-        )
+    s = minimum_slack(n, precision)
 
     target = xstar.scale(_ONE / problem.alpha)
     phase1 = decompose_epsilon(target, problem.extended_verifier(), precision)

@@ -24,12 +24,16 @@ def to_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact Fraction.
 
     Floats are rejected on purpose: converting one silently would smuggle
-    rounding into a pipeline that promises bit-exact results.
+    rounding into a pipeline that promises bit-exact results.  Booleans are
+    rejected too, although Python counts them as ints: a JSON ``true`` is
+    not a number.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError(f"refusing to convert float {value!r}; pass an exact rational")
+    if isinstance(value, bool):
+        raise TypeError(f"refusing to convert bool {value!r}; pass an exact rational")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -120,13 +124,6 @@ def squared_l2(v: RVector) -> Fraction:
         if c:
             total += c * c
     return total
-
-
-def l1_distance(a: RVector, b: RVector) -> Fraction:
-    """Exact sum of componentwise absolute differences."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"vector dimensions differ: {a.dim} vs {b.dim}")
-    return sum((abs(x - y) for x, y in zip(a, b)), _ZERO)
 
 
 class BinaryPoint:
@@ -307,32 +304,3 @@ class ConvexCombination:
     def __repr__(self) -> str:
         inner = ", ".join(f"{list(p.bits)}: '{w}'" for p, w in self._items)
         return "ConvexCombination({%s})" % inner
-
-
-def mix(
-    a: ConvexCombination,
-    wa: RationalLike,
-    b: ConvexCombination,
-    wb: RationalLike,
-) -> ConvexCombination:
-    """Blend two combinations with weights ``wa`` and ``wb``.
-
-    Requires wa, wb >= 0 with wa + wb = 1.  The result's barycenter is
-    exactly wa * barycenter(a) + wb * barycenter(b).
-    """
-    wa = to_rational(wa)
-    wb = to_rational(wb)
-    if wa < 0 or wb < 0:
-        raise ValueError(f"mixture weights must be nonnegative, got {wa}, {wb}")
-    if wa + wb != _ONE:
-        raise ValueError(f"mixture weights must sum to 1, got {wa + wb}")
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"combination dimensions differ: {a.dim} vs {b.dim}")
-    merged: dict = {}
-    if wa:
-        for point, w in a.items():
-            merged[point] = w * wa
-    if wb:
-        for point, w in b.items():
-            merged[point] = merged.get(point, _ZERO) + w * wb
-    return ConvexCombination(merged)

@@ -1,4 +1,4 @@
-"""Concrete packing problems, their verifiers, and desk-scale oracles.
+"""Concrete packing problems and their verifiers.
 
 Two problem families ship with the package.  Knapsack is the nontrivial
 one: its relaxation has an exact closed-form optimum (fractional greedy),
@@ -10,13 +10,12 @@ maximization; they are the workhorse for oracle-backed testing.
 
 from __future__ import annotations
 
-import itertools
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .errors import (
     DimensionMismatch,
@@ -30,12 +29,10 @@ from .geometry import (
     RationalLike,
     to_rational,
 )
-from .verifier import ExtendedVerifier, GapVerifier, clip_negative
+from .verifier import ExtendedVerifier, GapVerifier
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-ENUMERATION_LIMIT = 16
 
 
 class PackingProblem(ABC):
@@ -65,10 +62,6 @@ class PackingProblem(ABC):
     @abstractmethod
     def relaxed_optimum(self, mu: RVector) -> RVector:
         """An exact optimizer of the relaxation for a nonnegative objective."""
-
-    def relaxed_value(self, mu: RVector) -> Fraction:
-        """Optimal value of the relaxation for a nonnegative objective."""
-        return mu.dot(self.relaxed_optimum(mu))
 
     def extended_verifier(self) -> ExtendedVerifier:
         """The verifier wrapped for arbitrary signed objectives."""
@@ -338,54 +331,6 @@ class ExplicitProblem(PackingProblem):
 
 
 # ---------------------------------------------------------------------------
-# Desk-scale oracles
-
-
-def brute_force_lp_bound(
-    problem: PackingProblem, mu: RVector, limit: int = ENUMERATION_LIMIT
-) -> Fraction:
-    """Exact optimum of the relaxation for an arbitrary signed objective.
-
-    Negative components contribute nothing at the optimum of a downward
-    closed problem, so the objective is clipped to its nonnegative part and
-    handed to the problem's exact solver.
-    """
-    if problem.n > limit:
-        raise ValueError(
-            f"dimension {problem.n} exceeds the enumeration limit {limit}"
-        )
-    clipped = clip_negative(mu)
-    return problem.relaxed_value(clipped)
-
-
-def feasible_points(
-    problem: PackingProblem, limit: int = ENUMERATION_LIMIT
-) -> Iterator[BinaryPoint]:
-    """Enumerate all feasible binary points (desk scale only)."""
-    if problem.n > limit:
-        raise ValueError(
-            f"dimension {problem.n} exceeds the enumeration limit {limit}"
-        )
-    for bits in itertools.product((0, 1), repeat=problem.n):
-        point = BinaryPoint(bits)
-        if problem.feasible(point):
-            yield point
-
-
-def brute_force_integer_bound(
-    problem: PackingProblem, mu: RVector, limit: int = ENUMERATION_LIMIT
-) -> Fraction:
-    """max of mu . x over all feasible binary points, by enumeration."""
-    best = None
-    for point in feasible_points(problem, limit):
-        value = _point_value(mu, point)
-        if best is None or value > best:
-            best = value
-    assert best is not None  # the origin is always feasible
-    return best
-
-
-# ---------------------------------------------------------------------------
 # Decomposition validation
 
 
@@ -484,12 +429,16 @@ def load_instance(source: Union[str, Path, dict]) -> PackingProblem:
             rows = data["points"]
         except KeyError as missing:
             raise InstanceFormatError(f"explicit instance lacks {missing}") from None
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             raise InstanceFormatError("explicit instance dimension must be an integer")
         if not isinstance(rows, list):
             raise InstanceFormatError("explicit points must be a list of bit lists")
         try:
-            points = [BinaryPoint(row) for row in rows]
+            points = []
+            for row in rows:
+                if any(isinstance(b, bool) for b in row):
+                    raise TypeError(f"point bits must be 0 or 1, not booleans: {row!r}")
+                points.append(BinaryPoint(row))
             return ExplicitProblem(ExplicitPolytope(n, points))
         except (TypeError, ValueError) as bad:
             raise InstanceFormatError(f"bad explicit instance: {bad}") from bad

@@ -7,15 +7,19 @@ from fractions import Fraction
 from convdecomp import (
     BinaryPoint,
     ConvexCombination,
+    DimensionMismatch,
     ExplicitPolytope,
     ExplicitProblem,
     GapVerifier,
     KnapsackInstance,
     KnapsackProblem,
     RVector,
+    clip_negative,
 )
 
 F = Fraction
+
+ENUMERATION_LIMIT = 16
 
 
 def cube_problem(n):
@@ -106,3 +110,45 @@ def brute_force_sigma(combination) -> RVector:
         for k in range(n):
             comps[k] += weight * point[k]
     return RVector(comps)
+
+
+def l1_distance(a: RVector, b: RVector) -> Fraction:
+    """Exact sum of componentwise absolute differences."""
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"vector dimensions differ: {a.dim} vs {b.dim}")
+    return sum((abs(x - y) for x, y in zip(a, b)), F(0))
+
+
+def relaxed_value(problem, mu: RVector) -> Fraction:
+    """Optimal value of the relaxation for a nonnegative objective."""
+    return mu.dot(problem.relaxed_optimum(mu))
+
+
+def brute_force_lp_bound(problem, mu: RVector, limit: int = ENUMERATION_LIMIT) -> Fraction:
+    """Exact optimum of the relaxation for an arbitrary signed objective.
+
+    Negative components contribute nothing at the optimum of a downward
+    closed problem, so the objective is clipped to its nonnegative part and
+    handed to the problem's exact solver.
+    """
+    if problem.n > limit:
+        raise ValueError(f"dimension {problem.n} exceeds the enumeration limit {limit}")
+    return relaxed_value(problem, clip_negative(mu))
+
+
+def feasible_points(problem, limit: int = ENUMERATION_LIMIT):
+    """Enumerate all feasible binary points (desk scale only)."""
+    if problem.n > limit:
+        raise ValueError(f"dimension {problem.n} exceeds the enumeration limit {limit}")
+    for bits in itertools.product((0, 1), repeat=problem.n):
+        point = BinaryPoint(bits)
+        if problem.feasible(point):
+            yield point
+
+
+def brute_force_integer_bound(problem, mu: RVector, limit: int = ENUMERATION_LIMIT) -> Fraction:
+    """max of mu . x over all feasible binary points, by enumeration."""
+    return max(
+        sum((mu[k] for k in point.ones()), F(0))
+        for point in feasible_points(problem, limit)
+    )

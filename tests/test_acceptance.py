@@ -24,13 +24,13 @@ from convdecomp import (
     VerifierGapViolation,
     decompose_epsilon,
     decompose_exact,
-    brute_force_lp_bound,
 )
 from convdecomp import cli
 from convdecomp.cli import main, sample
 from convdecomp.exact import ExactRun
 from helpers import (
     OriginVerifier,
+    brute_force_lp_bound,
     cube_problem,
     random_explicit_problem,
     random_knapsack_problem,

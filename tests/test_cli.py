@@ -8,6 +8,7 @@ import pytest
 from convdecomp import BinaryPoint, ConvexCombination, RVector, load_instance
 from convdecomp import cli
 from convdecomp.cli import DecompositionReport, RunConfig, main, run, sample
+from convdecomp.problems import ValidationReport
 from helpers import OriginVerifier
 
 F = Fraction
@@ -231,6 +232,70 @@ class TestMain:
     def test_missing_required_flag_exits_4(self, cube_file, capsys):
         rc = main(["--instance", cube_file, "--epsilon", "1/2"])
         assert rc == 4
+
+    @pytest.mark.parametrize(
+        "data, mu",
+        [
+            ({"problem": "explicit", "n": True, "points": [[1]]}, "1"),
+            ({"problem": "knapsack", "weights": [True, "2"], "capacity": "5"}, "1,1"),
+            ({"problem": "knapsack", "weights": ["2", "3"], "capacity": True}, "1,1"),
+            ({"problem": "explicit", "n": 2, "points": [[True, False], [False, True]]}, "1,1"),
+        ],
+        ids=["n", "weight", "capacity", "bits"],
+    )
+    def test_json_boolean_in_instance_exits_4(self, tmp_path, capsys, data, mu):
+        path = tmp_path / "booleans.json"
+        path.write_text(json.dumps(data))
+        rc = main(["--instance", str(path), "--mu", mu, "--epsilon", "1/2"])
+        assert rc == 4
+
+    def test_failed_exact_verification_exits_2_with_report(
+        self, cube_file, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            cli, "validate_decomposition", lambda *args: ValidationReport(("forced",))
+        )
+        out = tmp_path / "report.json"
+        rc = main(
+            [
+                "--instance", cube_file,
+                "--mu", "1,1",
+                "--epsilon", "1/2",
+                "--verify",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "verification failure: forced" in capsys.readouterr().err
+        assert json.loads(out.read_text())["verification"]["passed"] is False
+
+    def test_failed_epsilon_verification_exits_2_with_report(
+        self, cube_file, tmp_path, capsys, monkeypatch
+    ):
+        real = cli.decompose_epsilon
+
+        def misreported(*args, **kwargs):
+            phase1 = real(*args, **kwargs)
+            return dataclasses.replace(
+                phase1, final_squared_residual=phase1.final_squared_residual + 1
+            )
+
+        monkeypatch.setattr(cli, "decompose_epsilon", misreported)
+        out = tmp_path / "report.json"
+        rc = main(
+            [
+                "--instance", cube_file,
+                "--mu", "1,1",
+                "--epsilon", "1/2",
+                "--mode", "epsilon",
+                "--verify",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "verification failure: recomputed squared residual" in err
+        assert json.loads(out.read_text())["verification"]["passed"] is False
 
     def test_dimension_mismatch_exits_2(self, cube_file, capsys):
         rc = main(["--instance", cube_file, "--mu", "1,1,1", "--epsilon", "1/2"])

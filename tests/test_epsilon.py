@@ -11,7 +11,6 @@ from convdecomp import (
     RVector,
     VerifierGapViolation,
     decompose_epsilon,
-    feasible_points,
     iteration_budget,
     optimal_step,
     squared_l2,
@@ -19,6 +18,7 @@ from convdecomp import (
 from helpers import (
     OriginVerifier,
     cube_problem,
+    feasible_points,
     random_combination,
     random_explicit_problem,
     random_knapsack_problem,

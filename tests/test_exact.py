@@ -15,14 +15,14 @@ from convdecomp import (
     build_dominating,
     ceil_sqrt,
     decompose_exact,
-    feasible_points,
-    l1_distance,
     minimum_slack,
     reduce_to_exact,
     unit_points_feasible,
 )
 from helpers import (
     cube_problem,
+    feasible_points,
+    l1_distance,
     random_combination,
     random_explicit_problem,
     random_knapsack_problem,
@@ -237,15 +237,6 @@ class TestDecomposeExact:
         assert run.phase1.epsilon == F(1, 4)
         assert run.scaled_target == xstar.scale(F(2, 3))
         assert run.result.barycenter() == run.scaled_target
-
-    def test_custom_slack_must_cover_minimum(self):
-        problem = cube_problem(2)
-        xstar = RVector(["1/2", "1/2"])
-        run = decompose_exact(problem, xstar, F(1, 2), slack=F(3, 2))
-        assert run.slack == F(3, 2)
-        assert run.result.barycenter() == xstar.scale(F(2, 5))
-        with pytest.raises(ValueError):
-            decompose_exact(problem, xstar, F(1, 2), slack=F(1, 2))
 
     def test_pipeline_randomized(self):
         rng = random.Random(43)

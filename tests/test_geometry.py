@@ -8,13 +8,16 @@ from convdecomp import (
     ConvexCombination,
     DimensionMismatch,
     RVector,
-    feasible_points,
-    l1_distance,
-    mix,
     squared_l2,
     to_rational,
 )
-from helpers import brute_force_sigma, cube_problem, random_combination
+from helpers import (
+    brute_force_sigma,
+    cube_problem,
+    feasible_points,
+    l1_distance,
+    random_combination,
+)
 
 F = Fraction
 
@@ -163,34 +166,6 @@ class TestConvexCombination:
         assert [p.bits for p in lam.support()] == [(0, 1), (1, 0), (1, 1)]
 
 
-class TestMix:
-    def test_identity_mixture(self):
-        a = ConvexCombination({BinaryPoint([1, 0]): "1/2", BinaryPoint([0, 0]): "1/2"})
-        b = ConvexCombination.point_mass(BinaryPoint([1, 1]))
-        assert mix(a, 1, b, 0) == a
-
-    def test_hand_merge(self):
-        a = ConvexCombination.point_mass(BinaryPoint([0, 0]))
-        b = ConvexCombination.point_mass(BinaryPoint([1, 0]))
-        merged = mix(a, "1/2", b, "1/2")
-        assert merged == ConvexCombination(
-            {BinaryPoint([0, 0]): "1/2", BinaryPoint([1, 0]): "1/2"}
-        )
-
-    def test_same_support_point(self):
-        a = ConvexCombination.point_mass(BinaryPoint([1, 0]))
-        assert mix(a, "1/3", a, "2/3") == a
-
-    def test_weights_validated(self):
-        a = ConvexCombination.point_mass(BinaryPoint([1, 0]))
-        with pytest.raises(ValueError):
-            mix(a, "1/2", a, "1/3")
-        with pytest.raises(ValueError):
-            mix(a, "3/2", a, "-1/2")
-        with pytest.raises(DimensionMismatch):
-            mix(a, "1/2", ConvexCombination.point_mass(BinaryPoint([1, 0, 0])), "1/2")
-
-
 class TestRandomizedProperties:
     def test_combination_invariants(self):
         rng = random.Random(501)
@@ -204,16 +179,3 @@ class TestRandomizedProperties:
             sigma = lam.barycenter()
             assert all(0 <= c <= 1 for c in sigma)
             assert sigma == brute_force_sigma(lam)
-
-    def test_mix_is_exact_and_support_bounded(self):
-        rng = random.Random(502)
-        for _ in range(150):
-            n = rng.randint(1, 8)
-            prob = cube_problem(n)
-            a = random_combination(rng, feasible_points(prob), max_support=4)
-            b = random_combination(rng, feasible_points(prob), max_support=4)
-            wa = F(rng.randint(0, 16), 16)
-            merged = mix(a, wa, b, 1 - wa)
-            expected = a.barycenter().scale(wa) + b.barycenter().scale(1 - wa)
-            assert merged.barycenter() == expected
-            assert merged.support_size <= a.support_size + b.support_size

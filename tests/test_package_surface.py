@@ -1,0 +1,50 @@
+"""The package's surface: standard-library imports only, and every name the
+benchmark scripts import from it still resolves."""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted((ROOT / "src" / "convdecomp").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (
+                    f"{path.name} imports {name}, which is not in the standard library"
+                )
+
+
+@pytest.mark.parametrize("script", ["harness.py", "selftest.py"])
+def test_names_the_benchmark_imports_resolve(script):
+    path = BENCH / script
+    if not path.is_file():
+        pytest.skip(f"no bench/{script}")
+    imported = 0
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.ImportFrom) and node.module in ("convdecomp", "convdecomp.cli"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (
+                    f"bench/{script} imports {node.module}.{alias.name}, which is gone"
+                )
+                imported += 1
+    assert imported

@@ -16,16 +16,17 @@ from convdecomp import (
     KnapsackInstance,
     KnapsackProblem,
     RVector,
-    brute_force_lp_bound,
     clip_negative,
-    feasible_points,
     load_instance,
     validate_decomposition,
 )
 from helpers import (
+    brute_force_lp_bound,
+    feasible_points,
     knapsack_lp_oracle,
     random_knapsack_problem,
     random_signed_mu,
+    relaxed_value,
 )
 
 F = Fraction
@@ -51,7 +52,7 @@ class TestKnapsackVerifier:
         assert problem.relaxed_optimum(mu) == RVector([1, 1, "4/5"])
         lp = knapsack_lp_oracle(problem.instance.weights, problem.instance.capacity, mu)
         assert lp == 10
-        assert problem.relaxed_value(mu) == lp
+        assert relaxed_value(problem, mu) == lp
         assert 2 * mu.dot(answer.as_vector()) >= lp
 
     def test_ineligible_instance_raises(self):
@@ -83,7 +84,7 @@ class TestKnapsackLP:
             inst = problem.instance
             for _ in range(25):
                 mu = clip_negative(random_signed_mu(rng, n))
-                value = problem.relaxed_value(mu)
+                value = relaxed_value(problem, mu)
                 assert value == knapsack_lp_oracle(inst.weights, inst.capacity, mu)
                 # the optimizer itself must be feasible for the relaxation
                 x = problem.relaxed_optimum(mu)

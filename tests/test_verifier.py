@@ -11,11 +11,11 @@ from convdecomp import (
     KnapsackInstance,
     KnapsackProblem,
     RVector,
-    brute_force_integer_bound,
-    brute_force_lp_bound,
     clip_negative,
 )
 from helpers import (
+    brute_force_integer_bound,
+    brute_force_lp_bound,
     knapsack_lp_oracle,
     random_explicit_problem,
     random_knapsack_problem,
