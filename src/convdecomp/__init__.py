@@ -7,13 +7,7 @@ feasible 0/1 points whose barycenter equals the scaled optimum bit for
 bit.  All arithmetic is exact rational.
 """
 
-from .epsilon import (
-    EpsilonRun,
-    IterationRecord,
-    decompose_epsilon,
-    iteration_budget,
-    optimal_step,
-)
+from .epsilon import decompose_epsilon, iteration_budget, optimal_step
 from .errors import (
     DecompositionError,
     DegenerateSegment,
@@ -45,10 +39,8 @@ from .geometry import (
 from .problems import (
     ExplicitPolytope,
     ExplicitProblem,
-    ExplicitVerifier,
     KnapsackInstance,
     KnapsackProblem,
-    KnapsackVerifier,
     PackingProblem,
     ValidationReport,
     load_instance,
@@ -65,20 +57,16 @@ __all__ = [
     "DegenerateSegment",
     "DimensionMismatch",
     "DominanceViolation",
-    "EpsilonRun",
     "ExactRun",
     "ExplicitPolytope",
     "ExplicitProblem",
-    "ExplicitVerifier",
     "ExtendedVerifier",
     "GapVerifier",
     "IneligibleInstanceError",
     "InfeasiblePoint",
     "InstanceFormatError",
-    "IterationRecord",
     "KnapsackInstance",
     "KnapsackProblem",
-    "KnapsackVerifier",
     "PackingProblem",
     "RVector",
     "SlackTooSmall",

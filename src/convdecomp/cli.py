@@ -29,9 +29,8 @@ from .errors import (
     VerifierViolation,
 )
 from .exact import decompose_exact
-from .geometry import BinaryPoint, ConvexCombination, RVector, squared_l2, to_rational
+from .geometry import BinaryPoint, ConvexCombination, RVector, to_rational
 from .problems import (
-    PackingProblem,
     ValidationReport,
     load_instance,
     validate_decomposition,
@@ -225,55 +224,6 @@ def sample(
     return draws
 
 
-def _verify_exact(
-    problem: PackingProblem,
-    result: ConvexCombination,
-    target: RVector,
-    mu: Optional[RVector],
-) -> ValidationReport:
-    report = validate_decomposition(problem, result, target)
-    failures = list(report.failures)
-    if mu is not None and not failures:
-        # Expected value of the objective under the distribution must match
-        # the objective at the target; restated over the report's numbers.
-        expected = sum(
-            (w * mu.dot(p.as_vector()) for p, w in result.items()), _ZERO
-        )
-        direct = mu.dot(target)
-        if expected != direct:
-            failures.append(
-                f"expected objective value {expected} differs from {direct}"
-            )
-    return ValidationReport(failures=tuple(failures))
-
-
-def _verify_epsilon(
-    problem: PackingProblem,
-    result: ConvexCombination,
-    target: RVector,
-    epsilon: Fraction,
-    final_squared_residual: Fraction,
-) -> ValidationReport:
-    failures: List[str] = []
-    total = sum((w for _, w in result.items()), _ZERO)
-    if total != _ONE:
-        failures.append(f"weights sum to {total}, not exactly 1")
-    for point in result.support():
-        if not problem.feasible(point):
-            failures.append(f"support point {list(point.bits)} is infeasible")
-    actual = squared_l2(target - result.barycenter())
-    if actual != final_squared_residual:
-        failures.append(
-            f"recomputed squared residual {actual} differs from reported "
-            f"{final_squared_residual}"
-        )
-    if actual > epsilon * epsilon:
-        failures.append(
-            f"squared residual {actual} exceeds epsilon^2 = {epsilon * epsilon}"
-        )
-    return ValidationReport(failures=tuple(failures))
-
-
 def run(config: RunConfig) -> DecompositionReport:
     """Execute one pipeline invocation and assemble its report."""
     problem = load_instance(config.instance)
@@ -291,6 +241,11 @@ def run(config: RunConfig) -> DecompositionReport:
                 f"xstar dimension {xstar.dim} does not match instance "
                 f"dimension {problem.n}"
             )
+        if not problem.relaxation_contains(xstar):
+            raise ValueError(
+                f"xstar {','.join(str(c) for c in xstar)} is outside the "
+                f"relaxation of the {problem.kind} instance"
+            )
 
     started = time.perf_counter()
     if config.mode == "epsilon":
@@ -298,24 +253,11 @@ def run(config: RunConfig) -> DecompositionReport:
         phase1 = decompose_epsilon(
             target, problem.extended_verifier(), config.epsilon
         )
-        elapsed = time.perf_counter() - started
         result = phase1.result
-        slack = None
-        stats = RunStats(
-            epsilon_iterations=phase1.iterations,
-            final_squared_residual=phase1.final_squared_residual,
-            support_size_epsilon=phase1.result.support_size,
-            exact_steps=None,
-            support_size_dominating=None,
-            support_size_final=result.support_size,
-            wall_time_seconds=elapsed,
-        )
-        verification = (
-            _verify_epsilon(
-                problem, result, target, config.epsilon, phase1.final_squared_residual
-            )
-            if config.verify
-            else None
+        slack = exact_steps = support_size_dominating = None
+        checks = dict(
+            epsilon=config.epsilon,
+            squared_residual=phase1.final_squared_residual,
         )
     else:
         exact_run = decompose_exact(
@@ -324,24 +266,28 @@ def run(config: RunConfig) -> DecompositionReport:
             config.epsilon,
             overall=(config.mode == "exact-overall"),
         )
-        elapsed = time.perf_counter() - started
+        phase1 = exact_run.phase1
         target = exact_run.scaled_target
         result = exact_run.result
         slack = exact_run.slack
-        stats = RunStats(
-            epsilon_iterations=exact_run.phase1.iterations,
-            final_squared_residual=exact_run.phase1.final_squared_residual,
-            support_size_epsilon=exact_run.phase1.result.support_size,
-            exact_steps=exact_run.exact_steps,
-            support_size_dominating=exact_run.dominating.support_size,
-            support_size_final=result.support_size,
-            wall_time_seconds=elapsed,
-        )
-        verification = (
-            _verify_exact(problem, result, target, config.mu)
-            if config.verify
-            else None
-        )
+        exact_steps = exact_run.exact_steps
+        support_size_dominating = exact_run.dominating.support_size
+        checks = dict(mu=config.mu)
+    elapsed = time.perf_counter() - started
+    stats = RunStats(
+        epsilon_iterations=phase1.iterations,
+        final_squared_residual=phase1.final_squared_residual,
+        support_size_epsilon=phase1.result.support_size,
+        exact_steps=exact_steps,
+        support_size_dominating=support_size_dominating,
+        support_size_final=result.support_size,
+        wall_time_seconds=elapsed,
+    )
+    verification = (
+        validate_decomposition(problem, result, target, **checks)
+        if config.verify
+        else None
+    )
 
     samples = tuple(sample(result, config.sample_count, config.rng_seed))
     return DecompositionReport(
@@ -480,11 +426,13 @@ def _main(argv) -> int:
 
     try:
         report = run(config)
-    except (InstanceFormatError, OSError, json.JSONDecodeError) as bad:
+    except (InstanceFormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as bad:
         print(f"error: {bad}", file=sys.stderr)
         return EXIT_USAGE
     except VerifierGapViolation as bad:
         print(f"verifier contract violated: {bad}", file=sys.stderr)
+        if config.xstar is not None:
+            print("at fault: the verifier or the supplied xstar", file=sys.stderr)
         if bad.mu is not None:
             print(
                 "certificate objective: "
@@ -499,7 +447,11 @@ def _main(argv) -> int:
         print(f"error: {bad}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    _emit(report, config.out)
+    try:
+        _emit(report, config.out)
+    except OSError as bad:
+        print(f"error: {bad}", file=sys.stderr)
+        return EXIT_USAGE
     if report.verification is not None and not report.verification.passed:
         for failure in report.verification.failures:
             print(f"verification failure: {failure}", file=sys.stderr)

@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DimensionMismatch,
@@ -27,6 +27,7 @@ from .geometry import (
     ConvexCombination,
     RVector,
     RationalLike,
+    squared_l2,
     to_rational,
 )
 from .verifier import ExtendedVerifier, GapVerifier
@@ -62,6 +63,14 @@ class PackingProblem(ABC):
     @abstractmethod
     def relaxed_optimum(self, mu: RVector) -> RVector:
         """An exact optimizer of the relaxation for a nonnegative objective."""
+
+    def relaxation_contains(self, x: RVector) -> bool:
+        """Whether x passes the relaxation's box test, 0 <= x_k <= 1.
+
+        Problems that can test their relaxation exactly override this.
+        """
+        self._check_dim(x)
+        return all(_ZERO <= c <= _ONE for c in x)
 
     def extended_verifier(self) -> ExtendedVerifier:
         """The verifier wrapped for arbitrary signed objectives."""
@@ -210,6 +219,13 @@ class KnapsackProblem(PackingProblem):
     def verifier(self) -> GapVerifier:
         return self._verifier
 
+    def relaxation_contains(self, x: RVector) -> bool:
+        """Exact test: the box and the capacity, w . x <= capacity."""
+        if not super().relaxation_contains(x):
+            return False
+        load = sum((w * c for w, c in zip(self._instance.weights, x)), _ZERO)
+        return load <= self._instance.capacity
+
     def relaxed_optimum(self, mu: RVector) -> RVector:
         """Fractional greedy: fill by density, split the first misfit."""
         self._check_dim(mu)
@@ -349,12 +365,21 @@ def validate_decomposition(
     problem: PackingProblem,
     combination: ConvexCombination,
     target: RVector,
+    *,
+    mu: Optional[RVector] = None,
+    epsilon: Optional[Fraction] = None,
+    squared_residual: Optional[Fraction] = None,
 ) -> ValidationReport:
     """Re-derive every guarantee a finished decomposition must satisfy.
 
-    Checks that the weights are positive and sum to exactly 1, that every
-    support point is feasible, and that the barycenter equals the target
-    bit for bit.  All failures are itemized rather than raised.
+    Checks that the weights are positive and sum to exactly 1 and that every
+    support point is feasible.  Without ``epsilon`` the barycenter must equal
+    the target bit for bit and, given the objective ``mu``, the expected
+    objective value must equal ``mu . target``; the objective is compared
+    only when every earlier check passed.  With ``epsilon`` (a precision-phase
+    output) the squared distance from the barycenter to the target must
+    equal the reported ``squared_residual``, when given, and stay within
+    epsilon^2.  All failures are itemized rather than raised.
     """
     failures: List[str] = []
     total = _ZERO
@@ -378,13 +403,33 @@ def validate_decomposition(
             f"target dimension {target.dim} does not match combination "
             f"dimension {combination.dim}"
         )
-    else:
+    elif epsilon is None:
         sigma = combination.barycenter()
         for k in range(target.dim):
             if sigma[k] != target[k]:
                 failures.append(
                     f"barycenter component {k} is {sigma[k]}, target wants {target[k]}"
                 )
+        if mu is not None and not failures:
+            expected = sum(
+                (w * mu.dot(p.as_vector()) for p, w in combination.items()), _ZERO
+            )
+            direct = mu.dot(target)
+            if expected != direct:
+                failures.append(
+                    f"expected objective value {expected} differs from {direct}"
+                )
+    else:
+        actual = squared_l2(target - combination.barycenter())
+        if squared_residual is not None and actual != squared_residual:
+            failures.append(
+                f"recomputed squared residual {actual} differs from reported "
+                f"{squared_residual}"
+            )
+        if actual > epsilon * epsilon:
+            failures.append(
+                f"squared residual {actual} exceeds epsilon^2 = {epsilon * epsilon}"
+            )
     return ValidationReport(failures=tuple(failures))
 
 

@@ -12,6 +12,7 @@ from convdecomp.problems import ValidationReport
 from helpers import OriginVerifier
 
 F = Fraction
+KNAPSACK_235 = {"problem": "knapsack", "weights": ["2", "3", "4"], "capacity": "5"}
 
 
 @pytest.fixture
@@ -253,7 +254,9 @@ class TestMain:
         self, cube_file, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setattr(
-            cli, "validate_decomposition", lambda *args: ValidationReport(("forced",))
+            cli,
+            "validate_decomposition",
+            lambda *args, **kwargs: ValidationReport(("forced",)),
         )
         out = tmp_path / "report.json"
         rc = main(
@@ -296,6 +299,48 @@ class TestMain:
         err = capsys.readouterr().err
         assert "verification failure: recomputed squared residual" in err
         assert json.loads(out.read_text())["verification"]["passed"] is False
+
+    @pytest.mark.parametrize(
+        "data, xstar, epsilon, rc, message",
+        [
+            (KNAPSACK_235, "2,2,2", "1/2", 2, "outside the relaxation"),
+            (KNAPSACK_235, "1,1,1", "1/10", 2, "outside the relaxation"),
+            (KNAPSACK_235, "1,1,1", "1/2", 2, "outside the relaxation"),
+            (KNAPSACK_235, "2,0,0", "1/2", 2, "outside the relaxation"),
+            (
+                {"problem": "explicit", "n": 3, "points": [[1, 1, 0], [0, 0, 1]]},
+                "1,1,1",
+                "1/2",
+                3,
+                "the verifier or the supplied xstar",
+            ),
+        ],
+        ids=["box", "capacity-deep", "capacity", "box-single", "hull"],
+    )
+    def test_xstar_outside_relaxation_is_blamed_on_xstar(
+        self, tmp_path, capsys, data, xstar, epsilon, rc, message
+    ):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(data))
+        rc_seen = main(["--instance", str(path), "--xstar", xstar, "--epsilon", epsilon])
+        assert rc_seen == rc
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "target", ["missing-dir/report.json", "."], ids=["no-dir", "dir"]
+    )
+    def test_unwritable_out_exits_4(self, cube_file, tmp_path, capsys, target):
+        out = str(tmp_path / target)
+        rc = main(["--instance", cube_file, "--mu", "1,1", "--epsilon", "1/2", "--out", out])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_instance_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"problem": "knapsack", "weights": ["2"], "capacity": "5\xff"}')
+        rc = main(["--instance", str(path), "--mu", "1", "--epsilon", "1/2"])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_dimension_mismatch_exits_2(self, cube_file, capsys):
         rc = main(["--instance", cube_file, "--mu", "1,1,1", "--epsilon", "1/2"])

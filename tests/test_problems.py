@@ -233,6 +233,44 @@ class TestValidateDecomposition:
         assert any("infeasible" in msg for msg in report.failures)
 
 
+    def test_objective_checked_on_exact_decompositions(self):
+        problem = KnapsackProblem(KnapsackInstance([2, 3], 5))
+        lam = ConvexCombination(
+            {BinaryPoint([1, 0]): F(1, 2), BinaryPoint([0, 0]): F(1, 2)}
+        )
+        mu = RVector([3, 1])
+        assert validate_decomposition(problem, lam, RVector(["1/2", 0]), mu=mu).passed
+        # The objective is compared only once the earlier checks pass.
+        report = validate_decomposition(problem, lam, RVector(["1/2", "1/4"]), mu=mu)
+        assert len(report.failures) == 1
+        assert "component 1" in report.failures[0]
+
+    def test_residual_above_epsilon_squared_is_itemized(self):
+        problem = KnapsackProblem(KnapsackInstance([2, 3], 5))
+        lam = ConvexCombination.point_mass(BinaryPoint.origin(2))
+        report = validate_decomposition(
+            problem,
+            lam,
+            RVector(["1/2", "1/2"]),
+            epsilon=F(1, 2),
+            squared_residual=F(1, 2),
+        )
+        assert report.failures == ("squared residual 1/2 exceeds epsilon^2 = 1/4",)
+
+    def test_misreported_residual_is_itemized(self):
+        problem = KnapsackProblem(KnapsackInstance([2, 3], 5))
+        lam = ConvexCombination.point_mass(BinaryPoint.origin(2))
+        report = validate_decomposition(
+            problem,
+            lam,
+            RVector(["1/2", "1/2"]),
+            epsilon=F(1),
+            squared_residual=F(1, 4),
+        )
+        assert report.failures == (
+            "recomputed squared residual 1/2 differs from reported 1/4",
+        )
+
 class TestLoadInstance:
     def test_knapsack_file(self, tmp_path):
         path = tmp_path / "inst.json"
