@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import itertools
 import json
+import math
 import random
 import sys
 import time
@@ -36,7 +38,6 @@ from .problems import (
     validate_decomposition,
 )
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 EXIT_OK = 0
@@ -202,26 +203,23 @@ def sample(
 ) -> List[BinaryPoint]:
     """Draw ``count`` points i.i.d. from the distribution given by the weights.
 
-    Deterministic for a fixed seed: each draw turns 64 generator bits into
-    the fraction k / 2^64 and inverts the exact cumulative weights at it, so
-    the same seed reproduces the same sequence bit for bit.
+    Deterministic for a fixed seed: each draw takes 64 generator bits ``k``
+    and returns the first point whose cumulative weight exceeds k / 2^64.
+    Over the weights' common denominator ``D`` the cumulative weights are
+    integers ``C_i``, and ``C_i > k * D / 2^64`` exactly when
+    ``C_i > floor(k * D / 2^64)``, so no fraction is needed.
     """
     if count < 0:
         raise ValueError(f"sample count must be >= 0, got {count}")
-    points = []
-    cumulative = []
-    running = _ZERO
-    for point, weight in combination.items():
-        running += weight
-        points.append(point)
-        cumulative.append(running)
+    points, weights = zip(*combination.items())
+    denominator = math.lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (denominator // w.denominator) for w in weights]
+    cumulative = list(itertools.accumulate(scaled))
     rng = random.Random(seed)
-    denominator = 1 << 64
-    draws = []
-    for _ in range(count):
-        u = Fraction(rng.getrandbits(64), denominator)
-        draws.append(points[bisect.bisect_right(cumulative, u)])
-    return draws
+    return [
+        points[bisect.bisect_right(cumulative, rng.getrandbits(64) * denominator >> 64)]
+        for _ in range(count)
+    ]
 
 
 def run(config: RunConfig) -> DecompositionReport:
@@ -426,7 +424,7 @@ def _main(argv) -> int:
 
     try:
         report = run(config)
-    except (InstanceFormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as bad:
+    except (InstanceFormatError, OSError) as bad:
         print(f"error: {bad}", file=sys.stderr)
         return EXIT_USAGE
     except VerifierGapViolation as bad:

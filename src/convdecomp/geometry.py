@@ -21,12 +21,14 @@ _ONE = Fraction(1)
 
 
 def to_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact Fraction.
+    """Coerce an int, Fraction, or integer, decimal or "p/q" string to a Fraction.
 
     Floats are rejected on purpose: converting one silently would smuggle
     rounding into a pipeline that promises bit-exact results.  Booleans are
     rejected too, although Python counts them as ints: a JSON ``true`` is
-    not a number.
+    not a number.  Strings in exponent notation are rejected because
+    ``Fraction`` expands the power: an 11-byte ``"1e999999999"`` would take
+    practically forever.
     """
     if isinstance(value, Fraction):
         return value
@@ -37,6 +39,11 @@ def to_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(
+                f"exponent notation is not accepted: {value!r}; "
+                "write an integer, a decimal or 'p/q'"
+            )
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as a rational")
 

@@ -444,13 +444,17 @@ def load_instance(source: Union[str, Path, dict]) -> PackingProblem:
     ``{"problem": "knapsack", "weights": ["2", "3", "4"], "capacity": "5"}``
     and explicit instances like
     ``{"problem": "explicit", "n": 2, "points": [[1, 0], [0, 1]]}``.
-    Rationals may be integers or "p/q" strings.
+    Rationals may be integers or "p/q" strings.  Every file that is not
+    UTF-8 JSON, or nests too deeply to parse, raises ``InstanceFormatError``.
     """
     if isinstance(source, dict):
         data = source
     elif isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            try:
+                data = json.load(handle)
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as bad:
+                raise InstanceFormatError(f"cannot read instance {source}: {bad}") from bad
     else:
         raise TypeError(f"instance source must be a path or dict, got {type(source).__name__}")
     if not isinstance(data, dict):

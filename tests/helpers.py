@@ -1,5 +1,6 @@
 """Shared fixtures-in-spirit: random instances, oracles, a broken verifier."""
 
+import bisect
 import itertools
 import random
 from fractions import Fraction
@@ -152,3 +153,21 @@ def brute_force_integer_bound(problem, mu: RVector, limit: int = ENUMERATION_LIM
         sum((mu[k] for k in point.ones()), F(0))
         for point in feasible_points(problem, limit)
     )
+
+
+def reference_sample(combination, count: int, seed: int):
+    """The sampler's defining inversion, over fractions: each draw returns
+    the first point whose cumulative weight exceeds k / 2^64, where k is the
+    next 64 bits of ``random.Random(seed)``."""
+    points = []
+    cumulative = []
+    running = F(0)
+    for point, weight in combination.items():
+        running += weight
+        points.append(point)
+        cumulative.append(running)
+    rng = random.Random(seed)
+    return [
+        points[bisect.bisect_right(cumulative, F(rng.getrandbits(64), 2**64))]
+        for _ in range(count)
+    ]

@@ -1,15 +1,17 @@
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from convdecomp import BinaryPoint, ConvexCombination, RVector, load_instance
 from convdecomp import cli
 from convdecomp.cli import DecompositionReport, RunConfig, main, run, sample
 from convdecomp.problems import ValidationReport
-from helpers import OriginVerifier
+from helpers import OriginVerifier, reference_sample
 
 F = Fraction
 KNAPSACK_235 = {"problem": "knapsack", "weights": ["2", "3", "4"], "capacity": "5"}
@@ -31,7 +33,61 @@ def knapsack_file(tmp_path):
     return str(path)
 
 
+PRIMES = (3, 2**31 - 1, 2**61 - 1, 2**89 - 1, 2**127 - 1, 2**521 - 1, 2**607 - 1)
+DENOMINATORS = st.one_of(
+    st.integers(0, 70).map(lambda j: 2**j),
+    st.sampled_from(PRIMES),
+    st.lists(st.sampled_from(PRIMES), min_size=2, max_size=4).map(math.prod),
+)
+CUBE_3 = [BinaryPoint([a, b, c]) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+
+
+@st.composite
+def combinations(draw):
+    """Up to 7 weights: the gaps between random cuts of [0, 1], each cut a
+    fraction over a drawn denominator."""
+    cuts = set()
+    for d in draw(st.lists(DENOMINATORS, max_size=6)):
+        if d > 1:
+            cuts.add(F(draw(st.integers(1, d - 1)), d))
+    bounds = [F(0), *sorted(cuts), F(1)]
+    points = draw(st.permutations(CUBE_3))
+    return ConvexCombination(
+        {p: hi - lo for p, lo, hi in zip(points, bounds, bounds[1:])}
+    )
+
+
 class TestSample:
+    @settings(deadline=None)
+    @given(lam=combinations(), seed=st.integers(0, 2**64))
+    @example(
+        lam=ConvexCombination(
+            {
+                CUBE_3[0]: F(1, 2**70),
+                CUBE_3[5]: F(1, (2**521 - 1) * (2**607 - 1)),
+                CUBE_3[7]: 1 - F(1, 2**70) - F(1, (2**521 - 1) * (2**607 - 1)),
+            }
+        ),
+        seed=501,
+    )
+    def test_matches_fraction_inversion(self, lam, seed):
+        assert sample(lam, 100, seed) == reference_sample(lam, 100, seed)
+
+    def test_draws_on_cumulative_boundaries(self, monkeypatch):
+        class Words:
+            def __init__(self, seed):
+                self._words = iter([0, 2**63, 3 * 2**62, 2**64 - 1])
+
+            def getrandbits(self, k):
+                assert k == 64
+                return next(self._words)
+
+        monkeypatch.setattr(cli.random, "Random", Words)
+        a, b, c = BinaryPoint([0, 0]), BinaryPoint([0, 1]), BinaryPoint([1, 0])
+        lam = ConvexCombination({a: F(1, 2), b: F(1, 4), c: F(1, 4)})
+        assert reference_sample(lam, 4, seed=0) == [a, b, c, c]
+        assert sample(lam, 4, seed=0) == [a, b, c, c]
+
     def test_point_mass_always_draws_that_point(self):
         lam = ConvexCombination.point_mass(BinaryPoint.origin(2))
         draws = sample(lam, 50, seed=9)
@@ -341,6 +397,34 @@ class TestMain:
         rc = main(["--instance", str(path), "--mu", "1", "--epsilon", "1/2"])
         assert rc == 4
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_nested_instance_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 1001)
+        rc = main(["--instance", str(path), "--mu", "1", "--epsilon", "1/2"])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--mu", "1,1", "--epsilon", "1e-999999999"],
+            ["--mu", "1e999999999,1", "--epsilon", "1/2"],
+            ["--xstar", "1E-999999999,0", "--epsilon", "1/2"],
+        ],
+        ids=["epsilon", "mu", "xstar"],
+    )
+    def test_exponent_notation_flag_exits_4(self, cube_file, capsys, args):
+        assert main(["--instance", cube_file, *args]) == 4
+        assert "exponent notation" in capsys.readouterr().err
+
+    def test_exponent_notation_weight_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "exponent.json"
+        path.write_text(
+            json.dumps({"problem": "knapsack", "weights": ["1e999999999"], "capacity": "5"})
+        )
+        assert main(["--instance", str(path), "--mu", "1", "--epsilon", "1/2"]) == 4
+        assert "exponent notation" in capsys.readouterr().err
 
     def test_dimension_mismatch_exits_2(self, cube_file, capsys):
         rc = main(["--instance", cube_file, "--mu", "1,1,1", "--epsilon", "1/2"])

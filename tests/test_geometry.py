@@ -33,6 +33,14 @@ class TestToRational:
         with pytest.raises(TypeError):
             to_rational(0.5)
 
+    def test_decimal_string_accepted(self):
+        assert to_rational("0.25") == F(1, 4)
+
+    @pytest.mark.parametrize("text", ["1e5", "2E-3", "1e999999999", "1.5e3"])
+    def test_rejects_exponent_notation(self, text):
+        with pytest.raises(ValueError, match="exponent notation"):
+            to_rational(text)
+
     def test_string_round_trip(self):
         for q in (F(1, 2), F(3), F(-7, 3), F(0)):
             assert to_rational(str(q)) == q

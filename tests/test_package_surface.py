@@ -1,8 +1,10 @@
-"""The package's surface: standard-library imports only, and every name the
-benchmark scripts import from it still resolves."""
+"""The package's surface: standard-library imports only, every name the
+benchmark scripts import from it still resolves, and the benchmark's
+self-test passes against it."""
 
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +50,17 @@ def test_names_the_benchmark_imports_resolve(script):
                 )
                 imported += 1
     assert imported
+
+
+def test_benchmark_selftest_passes():
+    script = BENCH / "selftest.py"
+    if not script.is_file():
+        pytest.skip("no bench/selftest.py")
+    done = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

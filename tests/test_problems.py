@@ -315,3 +315,18 @@ class TestLoadInstance:
         path.write_text("[1, 2, 3]")
         with pytest.raises(InstanceFormatError):
             load_instance(str(path))
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"problem": "knapsack", "weights": ["2"], "capacity": "5\xff"}',
+            b"{not json",
+            b"[" * 1001,
+        ],
+        ids=["not-utf8", "malformed", "nested"],
+    )
+    def test_unreadable_file_raises_instance_format_error(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(InstanceFormatError):
+            load_instance(str(path))
