@@ -119,6 +119,48 @@ def _vector_from_strings(data) -> Optional[RVector]:
     return None if data is None else RVector(data)
 
 
+def _write_json(value, pad: str, seen: dict, out: List[str]) -> None:
+    """Append ``json.dumps(value, indent=2)`` to ``out`` as it reads nested
+    ``len(pad)`` spaces deep.
+
+    A JSON string holds no raw newline, so nesting only adds ``pad`` after
+    every newline.  Dicts and lists of containers are walked; any other value
+    is encoded once by ``json.dumps`` and re-indented once per depth it
+    appears at.  A value met again, by ``id``, reuses that text, so a point
+    drawn a thousand times is encoded once; the walked dict keeps every value
+    alive, so no ``id`` is reused during the walk.
+    """
+    if isinstance(value, dict) and value:
+        opening, closing = "{", "}"
+        fields = [(json.dumps(key) + ": ", item) for key, item in value.items()]
+    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        opening, closing = "[", "]"
+        fields = [("", item) for item in value]
+    else:
+        out.append(_leaf_json(value, pad, seen))
+        return
+    inner = pad + "  "
+    separator = "\n" + inner
+    out.append(opening)
+    for label, item in fields:
+        out.append(separator + label)
+        _write_json(item, inner, seen, out)
+        separator = ",\n" + inner
+    out.append("\n" + pad + closing)
+
+
+def _leaf_json(value, pad: str, seen: dict) -> str:
+    key = (id(value), pad)
+    text = seen.get(key)
+    if text is None:
+        if pad:
+            text = _leaf_json(value, "", seen).replace("\n", "\n" + pad)
+        else:
+            text = json.dumps(value, indent=2)
+        seen[key] = text
+    return text
+
+
 @dataclass(frozen=True)
 class DecompositionReport:
     """Full machine-readable outcome of one run."""
@@ -138,6 +180,16 @@ class DecompositionReport:
     samples: Tuple[BinaryPoint, ...]
 
     def to_dict(self) -> dict:
+        """The report's JSON schema.  Equal points share one bit list, so a
+        point drawn many times is one list object referenced many times."""
+        rows: dict = {}
+
+        def row(point: BinaryPoint) -> List[int]:
+            bits = rows.get(point)
+            if bits is None:
+                bits = rows[point] = list(point.bits)
+            return bits
+
         return {
             "problem_kind": self.problem_kind,
             "n": self.n,
@@ -149,7 +201,7 @@ class DecompositionReport:
             "xstar": _vector_to_strings(self.xstar),
             "target": _vector_to_strings(self.target),
             "support": [
-                {"point": list(point.bits), "weight": str(weight)}
+                {"point": row(point), "weight": str(weight)}
                 for point, weight in self.support.items()
             ],
             "stats": self.stats.to_dict(),
@@ -161,7 +213,7 @@ class DecompositionReport:
                     "failures": list(self.verification.failures),
                 }
             ),
-            "samples": [list(p.bits) for p in self.samples],
+            "samples": [row(p) for p in self.samples],
         }
 
     @classmethod
@@ -191,7 +243,10 @@ class DecompositionReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """``json.dumps(self.to_dict(), indent=2)``, encoding each shared list once."""
+        out: List[str] = []
+        _write_json(self.to_dict(), "", {}, out)
+        return "".join(out)
 
     @classmethod
     def from_json(cls, text: str) -> "DecompositionReport":
@@ -270,7 +325,7 @@ def run(config: RunConfig) -> DecompositionReport:
         slack = exact_run.slack
         exact_steps = exact_run.exact_steps
         support_size_dominating = exact_run.dominating.support_size
-        checks = dict(mu=config.mu)
+        checks = {}
     elapsed = time.perf_counter() - started
     stats = RunStats(
         epsilon_iterations=phase1.iterations,

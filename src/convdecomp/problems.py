@@ -366,7 +366,6 @@ def validate_decomposition(
     combination: ConvexCombination,
     target: RVector,
     *,
-    mu: Optional[RVector] = None,
     epsilon: Optional[Fraction] = None,
     squared_residual: Optional[Fraction] = None,
 ) -> ValidationReport:
@@ -374,12 +373,12 @@ def validate_decomposition(
 
     Checks that the weights are positive and sum to exactly 1 and that every
     support point is feasible.  Without ``epsilon`` the barycenter must equal
-    the target bit for bit and, given the objective ``mu``, the expected
-    objective value must equal ``mu . target``; the objective is compared
-    only when every earlier check passed.  With ``epsilon`` (a precision-phase
-    output) the squared distance from the barycenter to the target must
-    equal the reported ``squared_residual``, when given, and stay within
-    epsilon^2.  All failures are itemized rather than raised.
+    the target bit for bit; by linearity the expected value of any objective
+    ``mu`` then equals ``mu . target``, so no objective is compared.  With
+    ``epsilon`` (a precision-phase output) the squared distance from the
+    barycenter to the target must equal the reported ``squared_residual``,
+    when given, and stay within epsilon^2.  All failures are itemized rather
+    than raised.
     """
     failures: List[str] = []
     total = _ZERO
@@ -409,15 +408,6 @@ def validate_decomposition(
             if sigma[k] != target[k]:
                 failures.append(
                     f"barycenter component {k} is {sigma[k]}, target wants {target[k]}"
-                )
-        if mu is not None and not failures:
-            expected = sum(
-                (w * mu.dot(p.as_vector()) for p, w in combination.items()), _ZERO
-            )
-            direct = mu.dot(target)
-            if expected != direct:
-                failures.append(
-                    f"expected objective value {expected} differs from {direct}"
                 )
     else:
         actual = squared_l2(target - combination.barycenter())

@@ -2,6 +2,7 @@
 
 import bisect
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -171,3 +172,9 @@ def reference_sample(combination, count: int, seed: int):
         points[bisect.bisect_right(cumulative, F(rng.getrandbits(64), 2**64))]
         for _ in range(count)
     ]
+
+
+def reference_to_json(report) -> str:
+    """The report text by definition: the standard library's indenting
+    encoder run over the whole schema dict, every draw's bits included."""
+    return json.dumps(report.to_dict(), indent=2)

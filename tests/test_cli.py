@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from convdecomp import BinaryPoint, ConvexCombination, RVector, load_instance
 from convdecomp import cli
-from convdecomp.cli import DecompositionReport, RunConfig, main, run, sample
+from convdecomp.cli import DecompositionReport, RunConfig, RunStats, main, run, sample
 from convdecomp.problems import ValidationReport
-from helpers import OriginVerifier, reference_sample
+from helpers import OriginVerifier, reference_sample, reference_to_json
 
 F = Fraction
 KNAPSACK_235 = {"problem": "knapsack", "weights": ["2", "3", "4"], "capacity": "5"}
@@ -54,6 +54,70 @@ def combinations(draw):
     points = draw(st.permutations(CUBE_3))
     return ConvexCombination(
         {p: hi - lo for p, lo, hi in zip(points, bounds, bounds[1:])}
+    )
+
+
+def make_report(
+    support,
+    samples=(),
+    mode="exact",
+    mu=True,
+    verification=None,
+    numbers=(F(3, 7), F(-1, 2), F(10**30, 3)),
+    wall_time=0.125,
+):
+    """A report with hand-picked fields; ``mu=False`` stands for an
+    ``--xstar`` run, and ``epsilon`` mode leaves the exact-only fields out."""
+    n = support.dim
+    exact = mode != "epsilon"
+    vector = RVector(numbers[k % len(numbers)] for k in range(n))
+    return DecompositionReport(
+        problem_kind="knapsack",
+        n=n,
+        alpha=F(2),
+        mode=mode,
+        epsilon=F(1, 10),
+        slack=numbers[0] if exact else None,
+        mu=vector if mu else None,
+        xstar=vector,
+        target=vector.scale(F(1, 2)),
+        support=support,
+        stats=RunStats(
+            epsilon_iterations=4,
+            final_squared_residual=numbers[-1],
+            support_size_epsilon=3,
+            exact_steps=2 if exact else None,
+            support_size_dominating=5 if exact else None,
+            support_size_final=support.support_size,
+            wall_time_seconds=wall_time,
+        ),
+        verification=verification,
+        samples=tuple(samples),
+    )
+
+
+AWKWARD_FAILURES = ('said "no"', "back\\slash", "naïve ≤ ε — ✓ 🙂", "two\nlines", "")
+POINT_PAIR = (BinaryPoint([1, 0, 1]), BinaryPoint([0, 1, 0]))
+
+
+@st.composite
+def reports(draw):
+    """Reports of every mode, with or without ``mu`` and verification, whose
+    draws repeat points, reuse support points and add equal copies of them."""
+    n = draw(st.integers(1, 5))
+    points = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(BinaryPoint)
+    support = draw(st.lists(points, min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+    rationals = st.fractions(min_value=-(10**40), max_value=10**40, max_denominator=10**40)
+    failures = st.lists(st.sampled_from(AWKWARD_FAILURES) | st.text(max_size=12), max_size=3)
+    return make_report(
+        ConvexCombination({p: F(w, sum(weights)) for p, w in zip(support, weights)}),
+        samples=draw(st.lists(st.sampled_from(support) | points, max_size=12)),
+        mode=draw(st.sampled_from(cli.MODES)),
+        mu=draw(st.booleans()),
+        verification=draw(st.none() | failures.map(lambda f: ValidationReport(tuple(f)))),
+        numbers=tuple(draw(st.lists(rationals, min_size=1, max_size=4))),
+        wall_time=draw(st.floats(0, 1e9, allow_nan=False)),
     )
 
 
@@ -200,6 +264,30 @@ class TestReportRoundTrip:
         report = run(config)
         assert DecompositionReport.from_json(report.to_json()) == report
 
+    @pytest.mark.parametrize(
+        "mode, flags, verify, count",
+        [
+            ("epsilon", {"mu": RVector([3, 3, 4])}, True, 10),
+            ("exact-overall", {"mu": RVector([3, 3, 4])}, True, 10),
+            ("exact", {"xstar": RVector(["1/2", "1/2", "1/2"])}, True, 10),
+            ("exact", {"mu": RVector([5, 2, 7])}, False, 10),
+            ("exact", {"mu": RVector([5, 2, 7])}, True, 0),
+        ],
+        ids=["epsilon", "exact-overall", "xstar", "no-verify", "no-samples"],
+    )
+    def test_round_trip_across_runs(self, knapsack_file, mode, flags, verify, count):
+        config = RunConfig(
+            instance=knapsack_file,
+            epsilon=F(1, 10),
+            mode=mode,
+            verify=verify,
+            sample_count=count,
+            rng_seed=11,
+            **flags,
+        )
+        report = run(config)
+        assert DecompositionReport.from_json(report.to_json()) == report
+
     def test_determinism_modulo_wall_time(self, knapsack_file):
         from dataclasses import replace
 
@@ -217,6 +305,59 @@ class TestReportRoundTrip:
         assert replace(first, stats=zero) == replace(
             second, stats=replace(second.stats, wall_time_seconds=0.0)
         )
+
+
+class TestReportText:
+    @settings(deadline=None)
+    @given(report=reports())
+    @example(
+        report=make_report(
+            ConvexCombination.point_mass(BinaryPoint([1])),
+            mode="epsilon",
+            mu=False,
+            verification=ValidationReport(AWKWARD_FAILURES),
+        )
+    )
+    @example(
+        report=make_report(
+            ConvexCombination.point_mass(POINT_PAIR[0]),
+            samples=[POINT_PAIR[0]] * 3,
+            mode="exact-overall",
+            verification=ValidationReport(),
+        )
+    )
+    @example(
+        report=make_report(
+            ConvexCombination({POINT_PAIR[0]: F(1, 3), POINT_PAIR[1]: F(2, 3)}),
+            samples=[POINT_PAIR[1], BinaryPoint([0, 1, 0]), POINT_PAIR[0], POINT_PAIR[1]],
+            mu=False,
+        )
+    )
+    def test_matches_reference_encoder(self, report):
+        assert report.to_json() == reference_to_json(report)
+
+    def test_out_file_is_reference_text(self, knapsack_file, tmp_path, monkeypatch):
+        reports_seen = []
+
+        def recording_run(config):
+            reports_seen.append(run(config))
+            return reports_seen[-1]
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        out = tmp_path / "report.json"
+        rc = main(
+            [
+                "--instance", knapsack_file,
+                "--mu", "3,3,4",
+                "--epsilon", "1/10",
+                "--verify",
+                "--sample", "50",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        (report,) = reports_seen
+        assert out.read_text(encoding="utf-8") == reference_to_json(report) + "\n"
 
 
 class TestMain:
