@@ -7,10 +7,9 @@ feasible 0/1 points whose barycenter equals the scaled optimum bit for
 bit.  All arithmetic is exact rational.
 """
 
-from .epsilon import decompose_epsilon, iteration_budget, optimal_step
+from .epsilon import decompose_epsilon, iteration_budget
 from .errors import (
     DecompositionError,
-    DegenerateSegment,
     DimensionMismatch,
     DominanceViolation,
     IneligibleInstanceError,
@@ -54,7 +53,6 @@ __all__ = [
     "BinaryPoint",
     "ConvexCombination",
     "DecompositionError",
-    "DegenerateSegment",
     "DimensionMismatch",
     "DominanceViolation",
     "ExactRun",
@@ -81,7 +79,6 @@ __all__ = [
     "iteration_budget",
     "load_instance",
     "minimum_slack",
-    "optimal_step",
     "reduce_to_exact",
     "squared_l2",
     "to_rational",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import contextlib
 import itertools
 import json
 import math
@@ -250,7 +251,8 @@ class DecompositionReport:
 
     @classmethod
     def from_json(cls, text: str) -> "DecompositionReport":
-        return cls.from_dict(json.loads(text))
+        with _unlimited_int_digits():
+            return cls.from_dict(json.loads(text))
 
 
 def sample(
@@ -457,17 +459,26 @@ def _emit(report: DecompositionReport, out: Optional[str]) -> None:
         print(f"wrote report to {out}", file=sys.stderr)
 
 
-def main(argv=None) -> int:
-    # Exact weights can outgrow the int-to-string limit of Python 3.10.7+.
-    # The limit is process-wide, so only this entry point lifts it, until return.
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the int-to-string limit of Python 3.10.7+ for the block.
+
+    Exact weights can outgrow it.  The limit is process-wide, so it is
+    restored when the block exits.
+    """
     saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if saved:
         sys.set_int_max_str_digits(0)
     try:
-        return _main(argv)
+        yield
     finally:
         if saved:
             sys.set_int_max_str_digits(saved)
+
+
+def main(argv=None) -> int:
+    with _unlimited_int_digits():
+        return _main(argv)
 
 
 def _main(argv) -> int:

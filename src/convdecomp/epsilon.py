@@ -1,15 +1,15 @@
 """Iterative decomposition to within a prescribed distance of the target.
 
-The loop keeps a plain map from verifier answers to weights, starting from
-weight 1 on the origin, and builds the convex combination from it once, on
-return.  Each round queries the extended verifier in the direction of the
-remaining residual, then moves the barycenter to the point of the segment
-between it and the sampled point that is closest to the target: every weight
-is multiplied by the step and the sampled point gains one minus the step.
-For a target inside the alpha-scaled feasible region and an honest verifier,
-the squared residual after i rounds is at most n/(i+1), so at most
-ceil(n / epsilon^2) - 1 rounds are needed to bring the residual within
-epsilon.
+The barycenter starts at the origin.  Each round queries the extended
+verifier in the direction of the remaining residual, then moves the
+barycenter to the point of the segment between it and the sampled point that
+is closest to the target, keeping the step as weight on the old barycenter.
+The loop carries only the residual (target minus barycenter) and the trace;
+the weights are built from the trace once, on return, so nothing is
+rescaled per round.  For a target inside the alpha-scaled feasible region
+and an honest verifier, the squared residual after i rounds is at most
+n/(i+1), so at most ceil(n / epsilon^2) - 1 rounds are needed to bring the
+residual within epsilon.
 
 Every round cross-checks the verifier's answer against the separating
 inequality the gap contract implies; a violation aborts the run with a
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import DegenerateSegment, VerifierGapViolation
+from .errors import VerifierGapViolation
 from .geometry import (
     BinaryPoint,
     ConvexCombination,
@@ -34,7 +34,6 @@ from .geometry import (
 )
 from .verifier import ExtendedVerifier
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -53,7 +52,10 @@ class EpsilonRun:
 
     ``trace[i].squared_residual`` is the squared residual at the start of
     pass i; the sequence is strictly decreasing and entry i never exceeds
-    n/(i+1).  The final squared residual is at most epsilon^2.
+    n/(i+1).  The final squared residual is at most epsilon^2.  ``result``
+    is read off the trace: the point sampled in pass i weighs
+    ``(1 - step_i)`` times the product of the later steps, and the origin
+    the product of all steps.
     """
 
     target: RVector
@@ -73,32 +75,6 @@ def iteration_budget(n: int, epsilon: RationalLike) -> int:
     if eps <= 0:
         raise ValueError(f"epsilon must be positive, got {eps}")
     return math.ceil(Fraction(n) / (eps * eps)) - 1
-
-
-def optimal_step(current: RVector, sampled: BinaryPoint, target: RVector) -> Fraction:
-    """Weight on ``current`` that moves the segment point closest to ``target``.
-
-    The candidate points are delta * current + (1 - delta) * sampled for
-    delta in [0, 1].  Minimizing the squared distance gives the closed form
-
-        delta = ((target - sampled) . (current - sampled)) / |current - sampled|^2
-
-    clamped to [0, 1]; squared distance is minimized exactly in rationals,
-    so no square roots are involved.
-    """
-    sampled_vec = sampled.as_vector()
-    direction = current - sampled_vec
-    denom = squared_l2(direction)
-    if denom == 0:
-        raise DegenerateSegment(
-            "segment endpoints coincide; the verifier answered with the current barycenter"
-        )
-    raw = (target - sampled_vec).dot(direction) / denom
-    if raw < 0:
-        return _ZERO
-    if raw > 1:
-        return _ONE
-    return raw
 
 
 def decompose_epsilon(
@@ -126,9 +102,7 @@ def decompose_epsilon(
             raise ValueError(f"target component {k} is {c}, outside [0, 1]")
 
     epsilon_sq = epsilon * epsilon
-    weights = {BinaryPoint.origin(n): _ONE}
-    current = RVector.zeros(n)
-    residual = target - current
+    residual = target
     residual_sq = squared_l2(residual)
     trace = []
 
@@ -142,7 +116,8 @@ def decompose_epsilon(
                 iteration=i,
             )
         sampled = verifier.query(residual)
-        shortfall = residual.dot(target) - residual.dot(sampled.as_vector())
+        away = target - sampled.as_vector()
+        shortfall = residual.dot(away)
         if shortfall > 0:
             raise VerifierGapViolation(
                 f"sampled point undershoots the target by {shortfall} along the "
@@ -151,26 +126,34 @@ def decompose_epsilon(
                 sampled=sampled,
                 iteration=i,
             )
-        step = optimal_step(current, sampled, target)
-        for point in weights:
-            weights[point] *= step
-        weights[sampled] = weights.get(sampled, _ZERO) + (_ONE - step)
+        # The new residual is step * residual + (1 - step) * away, whose
+        # squared norm is away_sq - 2 step gain + step^2 (gain + residual_sq
+        # - shortfall); the step minimizes it.  No clamp is needed: the loop
+        # condition gives residual_sq > 0 and the gap check gives shortfall
+        # <= 0, so gain >= 0 and the denominator exceeds gain by at least
+        # residual_sq: the step lies in [0, 1) and the denominator is never 0.
+        away_sq = squared_l2(away)
+        gain = away_sq - shortfall
+        step = gain / (gain + residual_sq - shortfall)
         trace.append(IterationRecord(residual_sq, step, sampled))
-        queried = residual
-        # Barycenter of the new weights, updated incrementally (exact by linearity).
-        current = current.scale(step) + sampled.as_vector().scale(_ONE - step)
-        residual = target - current
-        new_sq = squared_l2(residual)
+        new_sq = away_sq - step * gain
         if new_sq >= residual_sq:
             raise VerifierGapViolation(
                 f"no progress at pass {i}: squared residual went from "
                 f"{residual_sq} to {new_sq}",
-                mu=queried,
+                mu=residual,
                 sampled=sampled,
                 iteration=i,
             )
+        residual = residual.scale(step) + away.scale(_ONE - step)
         residual_sq = new_sq
 
+    weights = []
+    later = _ONE
+    for record in reversed(trace):
+        weights.append((record.sampled, (_ONE - record.step) * later))
+        later *= record.step
+    weights.append((BinaryPoint.origin(n), later))
     return EpsilonRun(
         target=target,
         epsilon=epsilon,

@@ -44,10 +44,6 @@ class InfeasiblePoint(VerifierViolation):
         self.point = point
 
 
-class DegenerateSegment(VerifierViolation):
-    """Segment projection got two identical endpoints."""
-
-
 class SlackTooSmall(DecompositionError):
     """The slack cannot absorb the L1 gap between barycenter and target."""
 

@@ -76,10 +76,6 @@ class ExtendedVerifier:
         self._feasible = feasible
 
     @property
-    def inner(self) -> GapVerifier:
-        return self._inner
-
-    @property
     def n(self) -> int:
         return self._inner.n
 

@@ -16,8 +16,12 @@ from convdecomp import (
     KnapsackInstance,
     KnapsackProblem,
     RVector,
+    VerifierGapViolation,
     clip_negative,
+    squared_l2,
+    to_rational,
 )
+from convdecomp.epsilon import EpsilonRun, IterationRecord
 
 F = Fraction
 
@@ -178,3 +182,93 @@ def reference_to_json(report) -> str:
     """The report text by definition: the standard library's indenting
     encoder run over the whole schema dict, every draw's bits included."""
     return json.dumps(report.to_dict(), indent=2)
+
+
+def reference_optimal_step(current: RVector, sampled: BinaryPoint, target: RVector) -> Fraction:
+    """Weight on ``current`` that moves the segment point closest to ``target``.
+
+    The candidate points are delta * current + (1 - delta) * sampled for
+    delta in [0, 1]; the closed form
+
+        delta = ((target - sampled) . (current - sampled)) / |current - sampled|^2
+
+    is clamped to [0, 1].  Coinciding endpoints divide by zero.
+    """
+    sampled_vec = sampled.as_vector()
+    direction = current - sampled_vec
+    raw = (target - sampled_vec).dot(direction) / squared_l2(direction)
+    if raw < 0:
+        return F(0)
+    if raw > 1:
+        return F(1)
+    return raw
+
+
+def reference_decompose_epsilon(target: RVector, verifier, epsilon) -> EpsilonRun:
+    """The precision phase as first written: it keeps the barycenter, the
+    residual and a weight map, rescales every weight on every pass, and
+    steps by :func:`reference_optimal_step`."""
+    epsilon = to_rational(epsilon)
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    n = target.dim
+    if verifier.n != n:
+        raise ValueError(
+            f"verifier dimension {verifier.n} does not match target dimension {n}"
+        )
+    for k, c in enumerate(target):
+        if c < 0 or c > 1:
+            raise ValueError(f"target component {k} is {c}, outside [0, 1]")
+
+    epsilon_sq = epsilon * epsilon
+    weights = {BinaryPoint.origin(n): F(1)}
+    current = RVector.zeros(n)
+    residual = target - current
+    residual_sq = squared_l2(residual)
+    trace = []
+
+    while residual_sq > epsilon_sq:
+        i = len(trace)
+        if residual_sq > F(n, i + 1):
+            raise VerifierGapViolation(
+                f"squared residual {residual_sq} exceeds {n}/{i + 1} at pass {i}; "
+                "the verifier does not verify its claimed gap",
+                mu=residual,
+                iteration=i,
+            )
+        sampled = verifier.query(residual)
+        shortfall = residual.dot(target) - residual.dot(sampled.as_vector())
+        if shortfall > 0:
+            raise VerifierGapViolation(
+                f"sampled point undershoots the target by {shortfall} along the "
+                f"residual direction at pass {i}",
+                mu=residual,
+                sampled=sampled,
+                iteration=i,
+            )
+        step = reference_optimal_step(current, sampled, target)
+        for point in weights:
+            weights[point] *= step
+        weights[sampled] = weights.get(sampled, F(0)) + (1 - step)
+        trace.append(IterationRecord(residual_sq, step, sampled))
+        queried = residual
+        current = current.scale(step) + sampled.as_vector().scale(1 - step)
+        residual = target - current
+        new_sq = squared_l2(residual)
+        if new_sq >= residual_sq:
+            raise VerifierGapViolation(
+                f"no progress at pass {i}: squared residual went from "
+                f"{residual_sq} to {new_sq}",
+                mu=queried,
+                sampled=sampled,
+                iteration=i,
+            )
+        residual_sq = new_sq
+
+    return EpsilonRun(
+        target=target,
+        epsilon=epsilon,
+        trace=tuple(trace),
+        result=ConvexCombination(weights),
+        final_squared_residual=residual_sq,
+    )

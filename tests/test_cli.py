@@ -637,3 +637,26 @@ class TestMain:
         assert sys.get_int_max_str_digits() == limit
         weights = [entry["weight"] for entry in json.loads(out.read_text())["support"]]
         assert max(len(w) for w in weights) > 5000
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="interpreter has no int-to-string limit",
+    )
+    def test_weight_beyond_int_str_limit_reads_back(
+        self, cube_file, tmp_path, capsys, monkeypatch
+    ):
+        q = 10**5001 + 1
+        heavy = ConvexCombination(
+            {BinaryPoint([1, 0]): F(1, q), BinaryPoint([0, 0]): 1 - F(1, q)}
+        )
+        config = RunConfig(instance=cube_file, epsilon=F(1, 2), mu=RVector([1, 0]))
+        report = dataclasses.replace(run(config), support=heavy)
+        monkeypatch.setattr(cli, "run", lambda config: report)
+        out = tmp_path / "report.json"
+        rc = main(
+            ["--instance", cube_file, "--mu", "1,0", "--epsilon", "1/2", "--out", str(out)]
+        )
+        assert rc == 0
+        limit = sys.get_int_max_str_digits()
+        assert DecompositionReport.from_json(out.read_text()) == report
+        assert sys.get_int_max_str_digits() == limit

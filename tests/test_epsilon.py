@@ -2,17 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convdecomp import (
     BinaryPoint,
     ConvexCombination,
-    DegenerateSegment,
     ExtendedVerifier,
+    GapVerifier,
     RVector,
     VerifierGapViolation,
     decompose_epsilon,
     iteration_budget,
-    optimal_step,
     squared_l2,
 )
 from helpers import (
@@ -23,31 +23,10 @@ from helpers import (
     random_explicit_problem,
     random_knapsack_problem,
     random_nonneg_mu,
+    reference_decompose_epsilon,
 )
 
 F = Fraction
-
-
-class TestOptimalStep:
-    def test_projects_target_onto_segment(self):
-        step = optimal_step(RVector([0, 0]), BinaryPoint([1, 0]), RVector(["1/2", "1/2"]))
-        assert step == F(1, 2)
-
-    def test_target_at_sampled_endpoint(self):
-        step = optimal_step(RVector([0, 0]), BinaryPoint([1, 0]), RVector([1, 0]))
-        assert step == 0
-
-    def test_clamps_at_zero(self):
-        step = optimal_step(RVector([0, 0]), BinaryPoint([1, 0]), RVector([2, 0]))
-        assert step == 0
-
-    def test_clamps_at_one(self):
-        step = optimal_step(RVector(["1/2", 0]), BinaryPoint([1, 0]), RVector([0, 0]))
-        assert step == 1
-
-    def test_degenerate_segment(self):
-        with pytest.raises(DegenerateSegment):
-            optimal_step(RVector([1, 0]), BinaryPoint([1, 0]), RVector([0, 0]))
 
 
 def test_iteration_budget_examples():
@@ -133,6 +112,7 @@ class TestRunInvariants:
         for rec in run.trace:
             assert problem.feasible(rec.sampled)
         assert squared_l2(target - run.result.barycenter()) == run.final_squared_residual
+        assert run == reference_decompose_epsilon(target, problem.extended_verifier(), epsilon)
         return run
 
     def test_scaled_relaxed_optima(self):
@@ -159,3 +139,70 @@ class TestRunInvariants:
             target = lam.barycenter()
             for epsilon in (F(1, 2), F(1, 10)):
                 self._check_run(problem, target, epsilon)
+
+
+class RandomFeasibleVerifier(GapVerifier):
+    """Dishonest: answers a seeded random feasible point, whatever the objective."""
+
+    def __init__(self, points, seed):
+        super().__init__(points[0].dim, 1)
+        self._points = points
+        self._rng = random.Random(seed)
+
+    def query(self, mu):
+        return self._rng.choice(self._points)
+
+
+@st.composite
+def epsilon_cases(draw):
+    """A problem, a target, a way to build a fresh verifier, and a precision.
+
+    Targets are scaled relaxed optima, scaled hull points, or arbitrary
+    points of the unit box (often outside the scaled hull).  Verifiers are
+    honest, answer random feasible points, or answer only the origin.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        problem = random_knapsack_problem(rng, n)
+    else:
+        problem = random_explicit_problem(rng, n)
+    shrink = F(1) / problem.alpha
+    kind = draw(st.sampled_from(["relaxed", "hull", "box"]))
+    if kind == "relaxed":
+        target = problem.relaxed_optimum(random_nonneg_mu(rng, n)).scale(shrink)
+    elif kind == "hull":
+        lam = random_combination(rng, feasible_points(problem), max_support=3)
+        target = lam.barycenter().scale(shrink)
+    else:
+        target = RVector([F(rng.randint(0, 4), 4) for _ in range(n)])
+    answers = draw(st.sampled_from(["honest", "random", "origin"]))
+    if answers == "honest":
+        make_verifier = problem.extended_verifier
+    elif answers == "random":
+        points = list(feasible_points(problem))
+        seed = rng.getrandbits(32)
+        make_verifier = lambda: ExtendedVerifier(
+            RandomFeasibleVerifier(points, seed), problem.feasible
+        )
+    else:
+        make_verifier = lambda: ExtendedVerifier(OriginVerifier(n), problem.feasible)
+    epsilon = draw(st.sampled_from([F(1), F(1, 2), F(1, 10)]))
+    return target, make_verifier, epsilon
+
+
+def _outcome(decompose, target, verifier, epsilon):
+    try:
+        run = decompose(target, verifier, epsilon)
+    except VerifierGapViolation as bad:
+        return ("raised", type(bad), str(bad), bad.mu, bad.sampled, bad.iteration)
+    return ("returned", run.trace, run.result, run.final_squared_residual)
+
+
+class TestMatchesReference:
+    @settings(deadline=None, max_examples=200)
+    @given(epsilon_cases())
+    def test_same_run_or_same_certificate(self, case):
+        target, make_verifier, epsilon = case
+        expected = _outcome(reference_decompose_epsilon, target, make_verifier(), epsilon)
+        assert _outcome(decompose_epsilon, target, make_verifier(), epsilon) == expected
