@@ -36,7 +36,6 @@ from .geometry import (
     to_rational,
 )
 from .problems import (
-    ExplicitPolytope,
     ExplicitProblem,
     KnapsackInstance,
     KnapsackProblem,
@@ -56,7 +55,6 @@ __all__ = [
     "DimensionMismatch",
     "DominanceViolation",
     "ExactRun",
-    "ExplicitPolytope",
     "ExplicitProblem",
     "ExtendedVerifier",
     "GapVerifier",

@@ -46,11 +46,6 @@ class PackingProblem(ABC):
     def n(self) -> int:
         """Dimension of the problem."""
 
-    @property
-    @abstractmethod
-    def alpha(self) -> Fraction:
-        """Gap constant verified by :attr:`verifier`."""
-
     @abstractmethod
     def feasible(self, point: BinaryPoint) -> bool:
         """Membership test for binary points."""
@@ -59,6 +54,11 @@ class PackingProblem(ABC):
     @abstractmethod
     def verifier(self) -> GapVerifier:
         """The problem's gap verifier (nonnegative objectives only)."""
+
+    @property
+    def alpha(self) -> Fraction:
+        """Gap constant claimed by :attr:`verifier`."""
+        return self.verifier.alpha
 
     @abstractmethod
     def relaxed_optimum(self, mu: RVector) -> RVector:
@@ -207,10 +207,6 @@ class KnapsackProblem(PackingProblem):
     def n(self) -> int:
         return self._instance.n
 
-    @property
-    def alpha(self) -> Fraction:
-        return Fraction(2)
-
     def feasible(self, point: BinaryPoint) -> bool:
         self._check_dim(point)
         return self._instance.fits(point)
@@ -249,12 +245,44 @@ class KnapsackProblem(PackingProblem):
 # Explicit polytopes
 
 
-class ExplicitPolytope:
+class ExplicitVerifier(GapVerifier):
+    """Exact maximization over the downward closure; verifies a gap of 1.
+
+    The relaxation peaks at a feasible point, so exact maximization has no
+    gap.  Ties go to the lexicographically smallest point.  A listed point
+    with the coordinates the objective ignores cleared is the best, and the
+    smallest of the best, points below it; so the best such masked point,
+    or the origin when none is listed, is the answer over the closure.
+    """
+
+    def __init__(self, n: int, seeds: FrozenSet[BinaryPoint]):
+        super().__init__(n, 1)
+        self._seeds = seeds
+
+    def query(self, mu: RVector) -> BinaryPoint:
+        if mu.dim != self.n:
+            raise DimensionMismatch(
+                f"objective dimension {mu.dim} does not match polytope dimension {self.n}"
+            )
+        _require_nonnegative(mu)
+        return min(
+            (
+                BinaryPoint([b if c else 0 for b, c in zip(seed.bits, mu)])
+                for seed in self._seeds
+            ),
+            key=lambda p: (-_point_value(mu, p), p.bits),
+            default=BinaryPoint.origin(self.n),
+        )
+
+
+class ExplicitProblem(PackingProblem):
     """The downward closure of the listed points, stored as listed.
 
     A point is feasible if it is the origin or a listed point dominates it,
     so membership is a dominance test and nothing is enumerated on load.
     """
+
+    kind = "explicit"
 
     def __init__(self, n: int, points: Iterable[BinaryPoint]):
         if n < 1:
@@ -266,6 +294,7 @@ class ExplicitPolytope:
                 raise DimensionMismatch(
                     f"point {p!r} has dimension {p.dim}, expected {n}"
                 )
+        self._verifier = ExplicitVerifier(n, self._seeds)
 
     @property
     def n(self) -> int:
@@ -276,66 +305,9 @@ class ExplicitPolytope:
         """The listed points, without duplicates."""
         return self._seeds
 
-    def __contains__(self, point: BinaryPoint) -> bool:
-        if point.dim != self._n:
-            return False
-        return point.is_origin() or any(s.dominates(point) for s in self._seeds)
-
-
-class ExplicitVerifier(GapVerifier):
-    """Exact maximization over the downward closure; verifies a gap of 1.
-
-    The relaxation peaks at a feasible point, so exact maximization has no
-    gap.  Ties go to the lexicographically smallest point.  A listed point
-    with the coordinates the objective ignores cleared is the best, and the
-    smallest of the best, points below it; so the best such masked point,
-    or the origin when none is listed, is the answer over the closure.
-    """
-
-    def __init__(self, polytope: ExplicitPolytope):
-        super().__init__(polytope.n, 1)
-        self._polytope = polytope
-
-    def query(self, mu: RVector) -> BinaryPoint:
-        if mu.dim != self._polytope.n:
-            raise DimensionMismatch(
-                f"objective dimension {mu.dim} does not match polytope dimension {self._polytope.n}"
-            )
-        _require_nonnegative(mu)
-        return min(
-            (
-                BinaryPoint([b if c else 0 for b, c in zip(seed.bits, mu)])
-                for seed in self._polytope.seeds
-            ),
-            key=lambda p: (-_point_value(mu, p), p.bits),
-            default=BinaryPoint.origin(self._polytope.n),
-        )
-
-
-class ExplicitProblem(PackingProblem):
-    """Packing problem whose feasible set is the downward closure of a point list."""
-
-    kind = "explicit"
-
-    def __init__(self, polytope: ExplicitPolytope):
-        self._polytope = polytope
-        self._verifier = ExplicitVerifier(polytope)
-
-    @property
-    def polytope(self) -> ExplicitPolytope:
-        return self._polytope
-
-    @property
-    def n(self) -> int:
-        return self._polytope.n
-
-    @property
-    def alpha(self) -> Fraction:
-        return Fraction(1)
-
     def feasible(self, point: BinaryPoint) -> bool:
         self._check_dim(point)
-        return point in self._polytope
+        return point.is_origin() or any(s.dominates(point) for s in self._seeds)
 
     @property
     def verifier(self) -> GapVerifier:
@@ -478,7 +450,7 @@ def load_instance(source: Union[str, Path, dict]) -> PackingProblem:
                 if any(isinstance(b, bool) for b in row):
                     raise TypeError(f"point bits must be 0 or 1, not booleans: {row!r}")
                 points.append(BinaryPoint(row))
-            return ExplicitProblem(ExplicitPolytope(n, points))
+            return ExplicitProblem(n, points)
         except (TypeError, ValueError) as bad:
             raise InstanceFormatError(f"bad explicit instance: {bad}") from bad
     raise InstanceFormatError(f"unknown problem kind: {kind!r}")

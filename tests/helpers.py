@@ -10,7 +10,6 @@ from convdecomp import (
     BinaryPoint,
     ConvexCombination,
     DimensionMismatch,
-    ExplicitPolytope,
     ExplicitProblem,
     GapVerifier,
     KnapsackInstance,
@@ -30,7 +29,7 @@ ENUMERATION_LIMIT = 16
 
 def cube_problem(n):
     """Explicit problem whose feasible set is the whole 0/1 cube."""
-    return ExplicitProblem(ExplicitPolytope(n, [BinaryPoint([1] * n)]))
+    return ExplicitProblem(n, [BinaryPoint([1] * n)])
 
 
 def random_explicit_problem(rng: random.Random, n: int, eligible=True, max_seeds=None):
@@ -43,7 +42,7 @@ def random_explicit_problem(rng: random.Random, n: int, eligible=True, max_seeds
     ]
     if eligible:
         seeds += [BinaryPoint.unit(n, k) for k in range(n)]
-    return ExplicitProblem(ExplicitPolytope(n, seeds))
+    return ExplicitProblem(n, seeds)
 
 
 def random_knapsack_problem(rng: random.Random, n: int, eligible=True):

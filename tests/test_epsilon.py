@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from convdecomp import (
     BinaryPoint,
     ConvexCombination,
+    ExplicitProblem,
     ExtendedVerifier,
     GapVerifier,
     RVector,
@@ -191,9 +192,38 @@ def epsilon_cases(draw):
     return target, make_verifier, epsilon
 
 
+# Denominator bits roughly double on every pass, so a run that needs many
+# answers costs about 4x more per pass; both implementations are compared
+# on their first ANSWER_CAP passes only.
+ANSWER_CAP = 14
+
+
+class _Capped(Exception):
+    """A run asked its verifier for more than ANSWER_CAP answers."""
+
+
+class RecordingVerifier:
+    """Logs every (mu, answer) pair and refuses an answer past ANSWER_CAP."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.n = inner.n
+        self.log = []
+
+    def query(self, mu):
+        if len(self.log) == ANSWER_CAP:
+            raise _Capped
+        answer = self._inner.query(mu)
+        self.log.append((mu, answer))
+        return answer
+
+
 def _outcome(decompose, target, verifier, epsilon):
+    recorder = RecordingVerifier(verifier)
     try:
-        run = decompose(target, verifier, epsilon)
+        run = decompose(target, recorder, epsilon)
+    except _Capped:
+        return ("capped", recorder.log)
     except VerifierGapViolation as bad:
         return ("raised", type(bad), str(bad), bad.mu, bad.sampled, bad.iteration)
     return ("returned", run.trace, run.result, run.final_squared_residual)
@@ -206,3 +236,30 @@ class TestMatchesReference:
         target, make_verifier, epsilon = case
         expected = _outcome(reference_decompose_epsilon, target, make_verifier(), epsilon)
         assert _outcome(decompose_epsilon, target, make_verifier(), epsilon) == expected
+
+
+@pytest.mark.xfail(
+    raises=_Capped,
+    strict=True,
+    reason="the segment step doubles denominator bits per pass; this hull "
+    "target needs more than ANSWER_CAP passes",
+)
+def test_hull_target_finishes_within_the_answer_cap():
+    rows = [
+        [0, 0, 0, 0, 0, 0, 1],
+        [0, 0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 1, 1, 1, 0],
+        [0, 0, 1, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 0, 0],
+        [0, 1, 0, 0, 1, 0, 0],
+        [0, 1, 0, 1, 0, 0, 1],
+        [1, 0, 0, 0, 0, 0, 0],
+        [1, 0, 0, 1, 0, 0, 1],
+    ]
+    problem = ExplicitProblem(7, [BinaryPoint(r) for r in rows])
+    target = RVector(["0", "17/24", "7/24", "17/24", "0", "0", "3/8"])
+    recorder = RecordingVerifier(problem.extended_verifier())
+    run = decompose_epsilon(target, recorder, F(1, 10))
+    assert run.final_squared_residual <= F(1, 100)

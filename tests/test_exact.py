@@ -7,6 +7,7 @@ from convdecomp import (
     BinaryPoint,
     ConvexCombination,
     DominanceViolation,
+    GapVerifier,
     IneligibleInstanceError,
     KnapsackInstance,
     KnapsackProblem,
@@ -223,6 +224,33 @@ class TestDecomposeExact:
         run = decompose_exact(problem, xstar, F(1, 10))
         expected = xstar.scale(F(1) / (2 * (1 + run.slack)))
         assert run.result.barycenter() == expected
+
+    def test_gap_constant_is_the_verifiers(self):
+        class ClaimedGap(GapVerifier):
+            """The greedy rule's answers under a looser claim, a gap of 3."""
+
+            def __init__(self, inner):
+                super().__init__(inner.n, 3)
+                self._inner = inner
+
+            def query(self, mu):
+                return self._inner.query(mu)
+
+        class LooseKnapsack(KnapsackProblem):
+            def __init__(self, instance):
+                super().__init__(instance)
+                self._claimed = ClaimedGap(self._verifier)
+
+            @property
+            def verifier(self):
+                return self._claimed
+
+        problem = LooseKnapsack(KnapsackInstance([2, 3, 4], 5))
+        assert problem.alpha == 3
+        xstar = RVector([1, 1, 0])
+        run = decompose_exact(problem, xstar, F(1, 10))
+        assert run.scaled_target == xstar.scale(F(1) / (3 * (1 + run.slack)))
+        assert run.result.barycenter() == run.scaled_target
 
     def test_ineligible_instance_rejected(self):
         problem = KnapsackProblem(KnapsackInstance([2, 7], 5))

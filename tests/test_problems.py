@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from convdecomp import (
     BinaryPoint,
     ConvexCombination,
-    ExplicitPolytope,
     ExplicitProblem,
     IneligibleInstanceError,
     InstanceFormatError,
@@ -127,14 +126,14 @@ def explicit_cases(draw):
 
 class TestExplicitPolytope:
     def test_closure_is_computed_and_reported(self):
-        poly = ExplicitPolytope(2, [BinaryPoint([1, 0]), BinaryPoint([0, 1])])
-        closure = set(feasible_points(ExplicitProblem(poly)))
+        problem = ExplicitProblem(2, [BinaryPoint([1, 0]), BinaryPoint([0, 1])])
+        closure = set(feasible_points(problem))
         assert closure == {
             BinaryPoint([0, 0]),
             BinaryPoint([1, 0]),
             BinaryPoint([0, 1]),
         }
-        assert closure - set(poly.seeds) == {BinaryPoint([0, 0])}
+        assert closure - set(problem.seeds) == {BinaryPoint([0, 0])}
 
     @settings(deadline=None)
     @given(explicit_cases())
@@ -143,7 +142,7 @@ class TestExplicitPolytope:
     @example((3, [[1, 1, 0], [1, 1, 0], [0, 1, 1]], [1, 0, 1]))
     def test_dominance_matches_enumerated_closure(self, case):
         n, rows, mu = case
-        problem = ExplicitProblem(ExplicitPolytope(n, [BinaryPoint(r) for r in rows]))
+        problem = ExplicitProblem(n, [BinaryPoint(r) for r in rows])
         closure = set(feasible_points(problem))
         assert closure == closure_by_subsets(n, rows)
         mu = RVector(mu)
@@ -158,17 +157,15 @@ class TestExplicitPolytope:
                 BinaryPoint([rng.randint(0, 1) for _ in range(n)])
                 for _ in range(rng.randint(1, 4))
             ]
-            poly = ExplicitPolytope(n, seeds)
-            for p in feasible_points(ExplicitProblem(poly)):
+            problem = ExplicitProblem(n, seeds)
+            for p in feasible_points(problem):
                 for bits in itertools.product(*[(0, b) if b else (0,) for b in p.bits]):
-                    assert BinaryPoint(bits) in poly
+                    assert problem.feasible(BinaryPoint(bits))
 
     def test_verifier_examples(self):
-        cube = ExplicitProblem(ExplicitPolytope(2, [BinaryPoint([1, 1])]))
+        cube = ExplicitProblem(2, [BinaryPoint([1, 1])])
         assert cube.verifier.query(RVector(["1/2", "1/3"])) == BinaryPoint([1, 1])
-        cross = ExplicitProblem(
-            ExplicitPolytope(2, [BinaryPoint([1, 0]), BinaryPoint([0, 1])])
-        )
+        cross = ExplicitProblem(2, [BinaryPoint([1, 0]), BinaryPoint([0, 1])])
         assert cross.verifier.query(RVector([1, 2])) == BinaryPoint([0, 1])
         assert cross.verifier.query(RVector([0, 0])) == BinaryPoint([0, 0])
 
@@ -191,7 +188,7 @@ class TestBruteForceLPBound:
         assert brute_force_lp_bound(problem, RVector([3, 3, 4])) == 6
 
     def test_explicit_cube_with_mixed_signs(self):
-        cube = ExplicitProblem(ExplicitPolytope(3, [BinaryPoint([1, 1, 1])]))
+        cube = ExplicitProblem(3, [BinaryPoint([1, 1, 1])])
         assert brute_force_lp_bound(cube, RVector([1, -1, 2])) == 3
 
     def test_enumeration_limit(self):
