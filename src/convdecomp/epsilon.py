@@ -1,15 +1,25 @@
 """Iterative decomposition to within a prescribed distance of the target.
 
-The barycenter starts at the origin.  Each round queries the extended
-verifier in the direction of the remaining residual, then moves the
-barycenter to the point of the segment between it and the sampled point that
-is closest to the target, keeping the step as weight on the old barycenter.
-The loop carries only the residual (target minus barycenter) and the trace;
-the weights are built from the trace once, on return, so nothing is
-rescaled per round.  For a target inside the alpha-scaled feasible region
-and an honest verifier, the squared residual after i rounds is at most
-n/(i+1), so at most ceil(n / epsilon^2) - 1 rounds are needed to bring the
-residual within epsilon.
+The combination starts as a point mass on the origin.  Each round queries
+the extended verifier in the direction of the remaining residual (target
+minus barycenter), adds the sampled point to the active points, and moves
+the weights to the point of the active points' hull nearest the target:
+the fully-corrective Frank-Wolfe step, found exactly by Wolfe's
+min-norm-point method.  A point whose weight falls to 0 leaves the active
+set.  The paper steps instead to the point nearest the target on the
+segment between the old barycenter and the sampled point; that segment
+lies in the hull, so every round ends at least as close as the paper's
+step would.  For a target inside the alpha-scaled feasible region and an
+honest verifier, the squared residual after i rounds is therefore at most
+n/(i+1), and at most ceil(n / epsilon^2) - 1 rounds are needed to bring
+the residual within epsilon.
+
+The barycenter is the point of the active points' affine hull nearest the
+target, so the residual is orthogonal to that hull, and a sampled point in
+it fails the gap check below.  The active points thus stay affinely
+independent: there are at most n + 1 of them, and their weights solve one
+small Gram system with integer entries, whose determinant bounds their
+denominators.
 
 Every round cross-checks the verifier's answer against the separating
 inequality the gap contract implies; a violation aborts the run with a
@@ -21,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import VerifierGapViolation
 from .geometry import (
@@ -34,6 +44,7 @@ from .geometry import (
 )
 from .verifier import ExtendedVerifier
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -53,9 +64,9 @@ class EpsilonRun:
     ``trace[i].squared_residual`` is the squared residual at the start of
     pass i; the sequence is strictly decreasing and entry i never exceeds
     n/(i+1).  The final squared residual is at most epsilon^2.  ``result``
-    is read off the trace: the point sampled in pass i weighs
-    ``(1 - step_i)`` times the product of the later steps, and the origin
-    the product of all steps.
+    holds the active points of the last pass with their weights: the point
+    of their hull nearest the target, at most n + 1 affinely independent
+    points.
     """
 
     target: RVector
@@ -75,6 +86,96 @@ def iteration_budget(n: int, epsilon: RationalLike) -> int:
     if eps <= 0:
         raise ValueError(f"epsilon must be positive, got {eps}")
     return math.ceil(Fraction(n) / (eps * eps)) - 1
+
+
+class _Atom(NamedTuple):
+    """An active point with the numbers its Gram entries are made of."""
+
+    point: BinaryPoint
+    mask: int  # one byte per bit, so the popcount of an AND is a dot product
+    target_dot: Fraction
+
+
+def _dot_point(v: RVector, point: BinaryPoint) -> Fraction:
+    return sum((v[k] for k in point.ones()), _ZERO)
+
+
+def _atom(point: BinaryPoint, target: RVector) -> _Atom:
+    mask = int.from_bytes(bytes(point.bits), "big")
+    return _Atom(point, mask, _dot_point(target, point))
+
+
+def _affine_weights(corral: List[_Atom]) -> List[Fraction]:
+    """Weights of the point of the corral's affine hull nearest the target.
+
+    With a the first atom, the weights w_i of the others solve the Gram
+    system sum_j (c_i - a).(c_j - a) w_j = (t - a).(c_i - a), whose matrix
+    entries are the integers |c_i & c_j| - |c_i & a| - |c_j & a| + |a|; the
+    first atom takes the rest of 1.  The atoms are affinely independent, so
+    the matrix is positive definite and elimination needs no pivoting.
+    """
+    base = corral[0]
+    size = base.mask.bit_count()
+    others = corral[1:]
+    shared = [(c.mask & base.mask).bit_count() for c in others]
+    rows = [
+        [
+            Fraction((ci.mask & cj.mask).bit_count() - si - sj + size)
+            for cj, sj in zip(others, shared)
+        ]
+        + [ci.target_dot - base.target_dot - si + size]
+        for ci, si in zip(others, shared)
+    ]
+    k = len(rows)
+    for p, pivot in enumerate(rows):
+        for row in rows[p + 1 :]:
+            factor = row[p] / pivot[p]
+            for j in range(p + 1, k + 1):
+                row[j] -= factor * pivot[j]
+    weights = [_ZERO] * k
+    for p in reversed(range(k)):
+        row = rows[p]
+        later = sum((row[j] * weights[j] for j in range(p + 1, k)), _ZERO)
+        weights[p] = (row[k] - later) / row[p]
+    return [_ONE - sum(weights, _ZERO)] + weights
+
+
+def _nearest(
+    pool: List[_Atom], weights: List[Fraction], target: RVector
+) -> Tuple[List[_Atom], List[Fraction], RVector]:
+    """Corral, weights and residual of the point of conv(pool) nearest the target.
+
+    Wolfe's method over the finite set ``pool``, started from ``weights``
+    (nonnegative, summing to 1).  Minor cycles move toward the nearest point
+    of the corral's affine hull, as far as the weights stay nonnegative, and
+    drop the points whose weight reaches 0, until that nearest point has
+    positive weights only.  A point of the pool outside the corral that the
+    residual still favours then rejoins it, and the cycles repeat.
+    """
+    corral = pool
+    while True:
+        alpha = _affine_weights(corral)
+        while min(alpha) <= 0:
+            # Only an added point can have weight 0 here, and its alpha is
+            # positive: the residual favours it.  So no denominator is 0.
+            theta = min(w / (w - a) for w, a in zip(weights, alpha) if a <= 0)
+            weights = [w + theta * (a - w) for w, a in zip(weights, alpha)]
+            corral = [c for c, w in zip(corral, weights) if w]
+            weights = [w for w in weights if w]
+            alpha = _affine_weights(corral)
+        residual = target - _combination(corral, alpha).barycenter()
+        level = _dot_point(residual, corral[0].point)
+        better = [
+            a for a in pool if a not in corral and _dot_point(residual, a.point) > level
+        ]
+        if not better:
+            return corral, alpha, residual
+        corral = corral + better[:1]
+        weights = alpha + [_ZERO]
+
+
+def _combination(corral: List[_Atom], weights: List[Fraction]) -> ConvexCombination:
+    return ConvexCombination((atom.point, w) for atom, w in zip(corral, weights))
 
 
 def decompose_epsilon(
@@ -105,6 +206,8 @@ def decompose_epsilon(
     residual = target
     residual_sq = squared_l2(residual)
     trace = []
+    corral = [_atom(BinaryPoint.origin(n), target)]
+    weights = [_ONE]
 
     while residual_sq > epsilon_sq:
         i = len(trace)
@@ -126,17 +229,31 @@ def decompose_epsilon(
                 sampled=sampled,
                 iteration=i,
             )
-        # The new residual is step * residual + (1 - step) * away, whose
-        # squared norm is away_sq - 2 step gain + step^2 (gain + residual_sq
-        # - shortfall); the step minimizes it.  No clamp is needed: the loop
-        # condition gives residual_sq > 0 and the gap check gives shortfall
-        # <= 0, so gain >= 0 and the denominator exceeds gain by at least
-        # residual_sq: the step lies in [0, 1) and the denominator is never 0.
+        # The paper's step: the residual at step * barycenter + (1 - step) *
+        # sampled is step * residual + (1 - step) * away, whose squared norm
+        # is away_sq - 2 step gain + step^2 (gain + residual_sq - shortfall);
+        # the step minimizes it.  No clamp is needed: the loop condition
+        # gives residual_sq > 0 and the gap check gives shortfall <= 0, so
+        # gain >= 0 and the denominator exceeds gain by at least residual_sq:
+        # the step lies in [0, 1) and the denominator is never 0.
         away_sq = squared_l2(away)
         gain = away_sq - shortfall
         step = gain / (gain + residual_sq - shortfall)
         trace.append(IterationRecord(residual_sq, step, sampled))
-        new_sq = away_sq - step * gain
+        added = _atom(sampled, target)
+        if len(corral) == 1:
+            # Two points span only the segment, whose nearest point the step
+            # gives; at step 0 the sampled point alone is nearest.
+            if step:
+                corral, weights = [corral[0], added], [step, _ONE - step]
+            else:
+                corral, weights = [added], [_ONE]
+            new_residual = residual.scale(step) + away.scale(_ONE - step)
+        else:
+            corral, weights, new_residual = _nearest(
+                corral + [added], weights + [_ZERO], target
+            )
+        new_sq = squared_l2(new_residual)
         if new_sq >= residual_sq:
             raise VerifierGapViolation(
                 f"no progress at pass {i}: squared residual went from "
@@ -145,19 +262,13 @@ def decompose_epsilon(
                 sampled=sampled,
                 iteration=i,
             )
-        residual = residual.scale(step) + away.scale(_ONE - step)
+        residual = new_residual
         residual_sq = new_sq
 
-    weights = []
-    later = _ONE
-    for record in reversed(trace):
-        weights.append((record.sampled, (_ONE - record.step) * later))
-        later *= record.step
-    weights.append((BinaryPoint.origin(n), later))
     return EpsilonRun(
         target=target,
         epsilon=epsilon,
         trace=tuple(trace),
-        result=ConvexCombination(weights),
+        result=_combination(corral, weights),
         final_squared_residual=residual_sq,
     )

@@ -208,10 +208,8 @@ def decompose_exact(
     n = problem.n
     if xstar.dim != n:
         raise ValueError(f"xstar dimension {xstar.dim} does not match problem dimension {n}")
-    if not unit_points_feasible(problem):
-        bad = [
-            k for k in range(n) if not problem.feasible(BinaryPoint.unit(n, k))
-        ]
+    bad = [k for k in range(n) if not problem.feasible(BinaryPoint.unit(n, k))]
+    if bad:
         raise IneligibleInstanceError(
             "instance is not decomposition-eligible: unit vector infeasible "
             f"at dimension(s) {bad}"

@@ -10,6 +10,7 @@ exactly 1 as a rational identity.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .errors import DimensionMismatch
@@ -18,6 +19,7 @@ RationalLike = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_BIT_VALUES = frozenset((0, 1))
 
 
 def to_rational(value: RationalLike) -> Fraction:
@@ -142,11 +144,16 @@ class BinaryPoint:
         bs = tuple(bits)
         if not bs:
             raise ValueError("a point needs at least one component")
-        for b in bs:
-            if b != 0 and b != 1:
-                raise ValueError(f"binary point component must be 0 or 1, got {b!r}")
-        self._bits = tuple(int(b) for b in bs)
-        self._ones = tuple(k for k, b in enumerate(self._bits) if b)
+        try:
+            valid = _BIT_VALUES.issuperset(bs)
+        except TypeError:  # an unhashable component
+            valid = False
+        if not valid:
+            for b in bs:
+                if b != 0 and b != 1:
+                    raise ValueError(f"binary point component must be 0 or 1, got {b!r}")
+        self._bits = tuple(map(int, bs))
+        self._ones = tuple(compress(range(len(bs)), self._bits))
 
     @classmethod
     def origin(cls, dim: int) -> "BinaryPoint":
@@ -157,9 +164,10 @@ class BinaryPoint:
         """The point whose only 1 sits at index ``k``."""
         if not 0 <= k < dim:
             raise IndexError(f"unit index {k} out of range for dimension {dim}")
-        bits = [0] * dim
-        bits[k] = 1
-        return cls(bits)
+        point = object.__new__(cls)  # the bits are valid by construction
+        point._bits = (0,) * k + (1,) + (0,) * (dim - k - 1)
+        point._ones = (k,)
+        return point
 
     @property
     def dim(self) -> int:

@@ -152,6 +152,43 @@ def test_criterion_5_support_size_linear_in_iterations(sweep):
     )
 
 
+def test_weight_denominators_within_the_gram_bound(sweep):
+    """A cap on weight denominators, derived rather than observed.
+
+    Phase 1 ends at the point of its support's affine hull nearest the
+    target t.  With m support points c_0 .. c_{m-1}, its weights past the
+    first solve the Gram system G w = b, G_ij = (c_i - c_0).(c_j - c_0),
+    b_i = (t - c_0).(c_i - c_0), and the first weight is 1 minus their sum.
+    G has integer entries and D b is integral, D the lcm of t's
+    denominators, so by Cramer's rule every weight is an integer over
+    D det(G).  G is positive definite, so Hadamard's bound gives det(G) <=
+    the product of its diagonal, and each |c_i - c_0|^2 <= n: the common
+    denominator of the phase-1 weights is at most D n^(m-1).
+
+    Exactification scales those weights and the gaps to t by
+    1/(1 + s) = q/(q + p) for s = p/q, pads with s minus the gaps, and then
+    only moves weight equal to another weight or to a barycenter component
+    minus a component of t/(1 + s).  Every number stays an integer over
+    D det(G) (q + p), and q + p is the numerator of 1 + s.
+    """
+    records, _ = sweep
+    worst_bits = 0
+    for rec in records:
+        target = rec.run.phase1.target
+        phase1 = rec.run.phase1.result
+        cap = math.lcm(*(c.denominator for c in target)) * rec.problem.n ** (
+            phase1.support_size - 1
+        )
+        assert math.lcm(*(w.denominator for _, w in phase1.items())) <= cap
+        final = math.lcm(*(w.denominator for _, w in rec.run.result.items()))
+        assert final <= cap * (1 + rec.run.slack).numerator
+        worst_bits = max(worst_bits, final.bit_length())
+    print(
+        f"ACCEPTANCE (weight bits): PASS - every weight denominator within the "
+        f"Gram-system bound (widest final common denominator {worst_bits} bits)"
+    )
+
+
 def test_criterion_6_dominance(sweep):
     records, _ = sweep
     for rec in records:

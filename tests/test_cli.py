@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from convdecomp import BinaryPoint, ConvexCombination, RVector, load_instance
 from convdecomp import cli
 from convdecomp.cli import DecompositionReport, RunConfig, RunStats, main, run, sample
-from convdecomp.problems import ValidationReport
+from convdecomp.problems import ExplicitVerifier, ValidationReport
 from helpers import OriginVerifier, reference_sample, reference_to_json
 
 F = Fraction
@@ -590,6 +590,45 @@ class TestMain:
         assert rc == 3
         err = capsys.readouterr().err
         assert "certificate objective" in err
+
+    @pytest.mark.parametrize("mode", ["epsilon", "exact", "exact-overall"])
+    def test_seven_dimensional_hull_target_finishes(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        # The paper's segment step doubles the denominator bits on every pass
+        # on this target and did not finish in practice.  A cap on verifier
+        # answers, not a clock, makes a relapse fail fast.
+        rows = [
+            [0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1, 0], [0, 0, 1, 0, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 1, 0, 0], [0, 1, 0, 1, 0, 0, 1],
+            [1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 1, 0, 0, 1],
+        ]
+        path = tmp_path / "n7.json"
+        path.write_text(json.dumps({"problem": "explicit", "n": 7, "points": rows}))
+
+        class TooManyAnswers(Exception):
+            pass
+
+        answers = []
+        real_query = ExplicitVerifier.query
+
+        def capped_query(self, mu):
+            if len(answers) == 14:
+                raise TooManyAnswers
+            answers.append(mu)
+            return real_query(self, mu)
+
+        monkeypatch.setattr(ExplicitVerifier, "query", capped_query)
+        out = tmp_path / "report.json"
+        rc = main(
+            ["--instance", str(path), "--xstar", "0,17/24,7/24,17/24,0,0,3/8",
+             "--epsilon", "1/10", "--mode", mode, "--verify", "--out", str(out)]
+        )
+        assert rc == 0
+        report = DecompositionReport.from_json(out.read_text())
+        assert report.verification.passed
+        assert report.stats.epsilon_iterations == len(answers)
 
     def test_all_ones_point_at_n_40_loads_and_decomposes(self, tmp_path, capsys):
         # Enumerating this point's downward closure would take 2^40 steps.

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from convdecomp import (
     iteration_budget,
     squared_l2,
 )
+from convdecomp.epsilon import _atom, _nearest
 from helpers import (
     OriginVerifier,
     cube_problem,
@@ -25,6 +27,7 @@ from helpers import (
     random_knapsack_problem,
     random_nonneg_mu,
     reference_decompose_epsilon,
+    reference_optimal_step,
 )
 
 F = Fraction
@@ -91,9 +94,39 @@ class TestDecomposeEpsilon:
             decompose_epsilon(RVector([0, 0]), problem.extended_verifier(), F(1, 2))
 
 
+def _segment_sq(current, sampled, target):
+    """Squared residual after the paper's step from ``current`` toward ``sampled``."""
+    step = reference_optimal_step(current, sampled, target)
+    return squared_l2(target - current.scale(step) - sampled.as_vector().scale(1 - step))
+
+
+def _check_passes(target, log, run):
+    """What the proof needs of a finished run, given its (mu, answer) log.
+
+    Every pass queries the residual and records the paper's step from it;
+    no pass ends farther from the target than that step would; and the
+    weights end at the point of their support's affine hull nearest the
+    target, on at most n + 1 points.
+    """
+    assert [(rec.squared_residual, rec.sampled) for rec in run.trace] == [
+        (squared_l2(mu), answer) for mu, answer in log
+    ]
+    barycenter = run.result.barycenter()
+    residuals = [mu for mu, _ in log] + [target - barycenter]
+    assert residuals[0] == target
+    for i, (mu, answer) in enumerate(log):
+        current = target - mu
+        assert run.trace[i].step == reference_optimal_step(current, answer, target)
+        assert squared_l2(residuals[i + 1]) <= _segment_sq(current, answer, target)
+    for point in run.result.support():
+        assert residuals[-1].dot(point.as_vector() - barycenter) == 0
+    assert run.result.support_size <= target.dim + 1
+
+
 class TestRunInvariants:
     def _check_run(self, problem, target, epsilon):
-        run = decompose_epsilon(target, problem.extended_verifier(), epsilon)
+        recorder = RecordingVerifier(problem.extended_verifier())
+        run = decompose_epsilon(target, recorder, epsilon)
         n = target.dim
         # termination and final precision
         assert run.final_squared_residual <= epsilon * epsilon
@@ -113,7 +146,10 @@ class TestRunInvariants:
         for rec in run.trace:
             assert problem.feasible(rec.sampled)
         assert squared_l2(target - run.result.barycenter()) == run.final_squared_residual
-        assert run == reference_decompose_epsilon(target, problem.extended_verifier(), epsilon)
+        _check_passes(target, recorder.log, run)
+        if run.iterations <= 1:
+            expected = reference_decompose_epsilon(target, problem.extended_verifier(), epsilon)
+            assert run == expected
         return run
 
     def test_scaled_relaxed_optima(self):
@@ -192,58 +228,126 @@ def epsilon_cases(draw):
     return target, make_verifier, epsilon
 
 
-# Denominator bits roughly double on every pass, so a run that needs many
-# answers costs about 4x more per pass; both implementations are compared
-# on their first ANSWER_CAP passes only.
+# Answers the hull target at the end of this file may use; the paper's
+# segment step needed more than 14 there.
 ANSWER_CAP = 14
 
 
 class _Capped(Exception):
-    """A run asked its verifier for more than ANSWER_CAP answers."""
+    """A run asked its verifier for more answers than its cap."""
 
 
 class RecordingVerifier:
-    """Logs every (mu, answer) pair and refuses an answer past ANSWER_CAP."""
+    """Logs every (mu, answer) pair and refuses an answer past ``cap``."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, cap=None):
         self._inner = inner
+        self._cap = cap
         self.n = inner.n
         self.log = []
 
     def query(self, mu):
-        if len(self.log) == ANSWER_CAP:
+        if len(self.log) == self._cap:
             raise _Capped
         answer = self._inner.query(mu)
         self.log.append((mu, answer))
         return answer
 
 
-def _outcome(decompose, target, verifier, epsilon):
-    recorder = RecordingVerifier(verifier)
-    try:
-        run = decompose(target, recorder, epsilon)
-    except _Capped:
-        return ("capped", recorder.log)
-    except VerifierGapViolation as bad:
-        return ("raised", type(bad), str(bad), bad.mu, bad.sampled, bad.iteration)
-    return ("returned", run.trace, run.result, run.final_squared_residual)
+ENVELOPE = re.compile(
+    r"squared residual (\S+) exceeds \d+/\d+ at pass \d+; "
+    "the verifier does not verify its claimed gap"
+)
+UNDERSHOOT = re.compile(
+    r"sampled point undershoots the target by (\S+) along the residual "
+    r"direction at pass \d+"
+)
+NO_PROGRESS = re.compile(r"no progress at pass \d+: squared residual went from \S+ to \S+")
 
 
-class TestMatchesReference:
+def _check_certificate(bad, target):
+    """The violation has one of the three message forms, and its certificate
+    proves what the message says."""
+    assert type(bad) is VerifierGapViolation
+    text = str(bad)
+    envelope, undershoot = ENVELOPE.fullmatch(text), UNDERSHOOT.fullmatch(text)
+    if envelope:
+        assert F(envelope.group(1)) == squared_l2(bad.mu) > F(target.dim, bad.iteration + 1)
+    elif undershoot:
+        shortfall = bad.mu.dot(target - bad.sampled.as_vector())
+        assert F(undershoot.group(1)) == shortfall > 0
+    else:
+        assert NO_PROGRESS.fullmatch(text) and bad.sampled is not None
+    assert text.count(f"at pass {bad.iteration}") == 1
+
+
+def _raised(bad):
+    return (type(bad), str(bad), bad.mu, bad.sampled, bad.iteration)
+
+
+class TestAgainstReference:
+    """The paper's loop (the reference) is kept as the yardstick: this loop
+    starts as it does, never ends a pass farther from the target, and blames
+    a verifier only with a certificate that re-checks."""
+
     @settings(deadline=None, max_examples=200)
     @given(epsilon_cases())
-    def test_same_run_or_same_certificate(self, case):
+    def test_each_pass_beats_the_paper_step(self, case):
         target, make_verifier, epsilon = case
-        expected = _outcome(reference_decompose_epsilon, target, make_verifier(), epsilon)
-        assert _outcome(decompose_epsilon, target, make_verifier(), epsilon) == expected
+        reference_first = None
+        try:
+            reference_decompose_epsilon(
+                target, RecordingVerifier(make_verifier(), cap=1), epsilon
+            )
+        except _Capped:
+            pass
+        except VerifierGapViolation as bad:
+            reference_first = _raised(bad)
+        recorder = RecordingVerifier(make_verifier())
+        try:
+            run = decompose_epsilon(target, recorder, epsilon)
+        except VerifierGapViolation as bad:
+            _check_certificate(bad, target)
+            if reference_first is not None or bad.iteration == 0:
+                assert _raised(bad) == reference_first
+            return
+        assert reference_first is None
+        _check_passes(target, recorder.log, run)
+        if run.iterations <= 1:
+            assert run == reference_decompose_epsilon(target, make_verifier(), epsilon)
 
 
-@pytest.mark.xfail(
-    raises=_Capped,
-    strict=True,
-    reason="the segment step doubles denominator bits per pass; this hull "
-    "target needs more than ANSWER_CAP passes",
-)
+class ScriptedVerifier:
+    """Answers the given points in order, whatever the objective."""
+
+    def __init__(self, points):
+        self.n = points[0].dim
+        self._answers = iter(points)
+
+    def query(self, mu):
+        return next(self._answers)
+
+
+def test_minor_cycle_drops_two_points_at_once():
+    # Target the vertex (1, 0).  Pass 0 samples (1, 1) and stops at (1/2, 1/2),
+    # the middle of the segment from the origin.  Pass 1 samples the target
+    # itself: the hull of all three points is nearest the target at (1, 0)
+    # alone, so the origin and (1, 1) lose their weight in the same cycle.
+    target = RVector([1, 0])
+    answers = [BinaryPoint([1, 1]), BinaryPoint([1, 0])]
+    one_pass = decompose_epsilon(target, ScriptedVerifier(answers), F(3, 4))
+    assert one_pass.iterations == 1
+    assert one_pass.result == ConvexCombination(
+        {BinaryPoint([0, 0]): F(1, 2), BinaryPoint([1, 1]): F(1, 2)}
+    )
+    recorder = RecordingVerifier(ScriptedVerifier(answers))
+    run = decompose_epsilon(target, recorder, F(1, 10))
+    assert run.iterations == 2
+    assert run.result == ConvexCombination.point_mass(BinaryPoint([1, 0]))
+    assert run.final_squared_residual == 0
+    _check_passes(target, recorder.log, run)
+
+
 def test_hull_target_finishes_within_the_answer_cap():
     rows = [
         [0, 0, 0, 0, 0, 0, 1],
@@ -260,6 +364,36 @@ def test_hull_target_finishes_within_the_answer_cap():
     ]
     problem = ExplicitProblem(7, [BinaryPoint(r) for r in rows])
     target = RVector(["0", "17/24", "7/24", "17/24", "0", "0", "3/8"])
-    recorder = RecordingVerifier(problem.extended_verifier())
+    recorder = RecordingVerifier(problem.extended_verifier(), cap=ANSWER_CAP)
     run = decompose_epsilon(target, recorder, F(1, 10))
     assert run.final_squared_residual <= F(1, 100)
+    _check_passes(target, recorder.log, run)
+
+
+def test_points_dropped_in_a_pass_rejoin_while_the_residual_favours_them():
+    # A pass of a random n = 6 run: six active points with their weights, and
+    # the sampled point (last) at weight 0.  The minor cycles alone end on
+    # four points, but the residual there still favours (1, 1, 0, 0, 1, 1),
+    # dropped on the way; it rejoins, and the pass ends at the point of the
+    # whole hull nearest the target.
+    rows = [
+        [0, 0, 0, 0, 0, 0],
+        [1, 1, 0, 0, 1, 1],
+        [0, 1, 0, 0, 1, 1],
+        [1, 0, 1, 0, 0, 1],
+        [1, 0, 1, 0, 1, 0],
+        [0, 1, 0, 1, 0, 1],
+        [0, 1, 0, 1, 0, 0],
+    ]
+    target = RVector(["6/17", "13/17", "7/17", "0", "12/17", "11/17"])
+    pool = [_atom(BinaryPoint(r), target) for r in rows]
+    weights = [F(3, 68), F(1, 68), F(9, 17), F(7, 68), F(4, 17), F(5, 68), F(0)]
+    corral, weights, residual = _nearest(pool, weights, target)
+    combination = ConvexCombination((a.point, w) for a, w in zip(corral, weights))
+    barycenter = combination.barycenter()
+    assert residual == target - barycenter
+    assert squared_l2(residual) == F(7, 221)
+    for atom in pool:
+        lean = residual.dot(atom.point.as_vector() - barycenter)
+        assert lean == 0 if atom in corral else lean <= 0
+    assert BinaryPoint([1, 1, 0, 0, 1, 1]) in combination

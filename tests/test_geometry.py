@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from convdecomp import (
     BinaryPoint,
@@ -123,6 +124,63 @@ class TestBinaryPoint:
 
     def test_as_vector(self):
         assert BinaryPoint([1, 0, 1]).as_vector() == RVector([1, 0, 1])
+
+
+def _validated_bits(raw):
+    """The constructor's contract, one component at a time."""
+    for b in raw:
+        if b != 0 and b != 1:
+            raise ValueError(f"binary point component must be 0 or 1, got {b!r}")
+    return tuple(int(b) for b in raw)
+
+
+BIT_LIKE = st.sampled_from([0, 1, True, False, 0.0, 1.0, F(0), F(1)])
+
+
+class TestBinaryPointFastPaths:
+    @given(st.lists(BIT_LIKE, min_size=1, max_size=12), st.lists(BIT_LIKE, min_size=1, max_size=12))
+    def test_constructor_matches_the_componentwise_contract(self, raw, other_raw):
+        point, other = BinaryPoint(raw), BinaryPoint(other_raw)
+        bits, other_bits = _validated_bits(raw), _validated_bits(other_raw)
+        assert point.bits == bits
+        assert all(type(b) is int for b in point.bits)
+        assert point.ones() == tuple(k for k, b in enumerate(bits) if b)
+        assert hash(point) == hash(bits)
+        assert (point == other) == (bits == other_bits)
+        assert (point < other) == (bits < other_bits)
+
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+           st.lists(st.integers(0, 1), min_size=1, max_size=40))
+    def test_unit_matches_the_constructor(self, case, other_bits):
+        n, k = case
+        fast = BinaryPoint.unit(n, k)
+        slow = BinaryPoint([True if j == k else 0.0 for j in range(n)])
+        other = BinaryPoint(other_bits)
+        assert fast.bits == slow.bits
+        assert fast.ones() == slow.ones() == (k,)
+        assert hash(fast) == hash(slow)
+        assert fast == slow
+        assert (fast < other) == (slow < other)
+        assert (other < fast) == (other < slow)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([], "a point needs at least one component"),
+            ([0, 2], "binary point component must be 0 or 1, got 2"),
+            ([1, -1], "binary point component must be 0 or 1, got -1"),
+            ([0, 0.5], "binary point component must be 0 or 1, got 0.5"),
+            (["1"], "binary point component must be 0 or 1, got '1'"),
+            ([0, None], "binary point component must be 0 or 1, got None"),
+            ([[1]], "binary point component must be 0 or 1, got [1]"),
+            ([1, 2, [0]], "binary point component must be 0 or 1, got 2"),
+            ([0, [1], 2], "binary point component must be 0 or 1, got [1]"),
+        ],
+    )
+    def test_rejected_input_names_the_first_bad_component(self, raw, message):
+        with pytest.raises(ValueError) as caught:
+            BinaryPoint(raw)
+        assert str(caught.value) == message
 
 
 class TestConvexCombination:
