@@ -96,13 +96,9 @@ class _Atom(NamedTuple):
     target_dot: Fraction
 
 
-def _dot_point(v: RVector, point: BinaryPoint) -> Fraction:
-    return sum((v[k] for k in point.ones()), _ZERO)
-
-
 def _atom(point: BinaryPoint, target: RVector) -> _Atom:
     mask = int.from_bytes(bytes(point.bits), "big")
-    return _Atom(point, mask, _dot_point(target, point))
+    return _Atom(point, mask, point.dot(target))
 
 
 def _affine_weights(corral: List[_Atom]) -> List[Fraction]:
@@ -164,10 +160,8 @@ def _nearest(
             weights = [w for w in weights if w]
             alpha = _affine_weights(corral)
         residual = target - _combination(corral, alpha).barycenter()
-        level = _dot_point(residual, corral[0].point)
-        better = [
-            a for a in pool if a not in corral and _dot_point(residual, a.point) > level
-        ]
+        level = corral[0].point.dot(residual)
+        better = [a for a in pool if a not in corral and a.point.dot(residual) > level]
         if not better:
             return corral, alpha, residual
         corral = corral + better[:1]
@@ -229,30 +223,23 @@ def decompose_epsilon(
                 sampled=sampled,
                 iteration=i,
             )
-        # The paper's step: the residual at step * barycenter + (1 - step) *
-        # sampled is step * residual + (1 - step) * away, whose squared norm
-        # is away_sq - 2 step gain + step^2 (gain + residual_sq - shortfall);
-        # the step minimizes it.  No clamp is needed: the loop condition
-        # gives residual_sq > 0 and the gap check gives shortfall <= 0, so
-        # gain >= 0 and the denominator exceeds gain by at least residual_sq:
-        # the step lies in [0, 1) and the denominator is never 0.
+        # The paper's step, recorded in the trace: the residual at step *
+        # barycenter + (1 - step) * sampled is step * residual + (1 - step) *
+        # away, whose squared norm is away_sq - 2 step gain + step^2 (gain +
+        # residual_sq - shortfall); the step minimizes it.  No clamp is
+        # needed: the loop condition gives residual_sq > 0 and the gap check
+        # gives shortfall <= 0, so gain >= 0 and the denominator exceeds gain
+        # by at least residual_sq: the step lies in [0, 1) and the
+        # denominator is never 0.  At pass 0 the pool is the origin and the
+        # sampled point, whose hull is that segment, so the pass lands where
+        # the step does.
         away_sq = squared_l2(away)
         gain = away_sq - shortfall
         step = gain / (gain + residual_sq - shortfall)
         trace.append(IterationRecord(residual_sq, step, sampled))
-        added = _atom(sampled, target)
-        if len(corral) == 1:
-            # Two points span only the segment, whose nearest point the step
-            # gives; at step 0 the sampled point alone is nearest.
-            if step:
-                corral, weights = [corral[0], added], [step, _ONE - step]
-            else:
-                corral, weights = [added], [_ONE]
-            new_residual = residual.scale(step) + away.scale(_ONE - step)
-        else:
-            corral, weights, new_residual = _nearest(
-                corral + [added], weights + [_ZERO], target
-            )
+        corral, weights, new_residual = _nearest(
+            corral + [_atom(sampled, target)], weights + [_ZERO], target
+        )
         new_sq = squared_l2(new_residual)
         if new_sq >= residual_sq:
             raise VerifierGapViolation(

@@ -208,8 +208,8 @@ def decompose_exact(
     n = problem.n
     if xstar.dim != n:
         raise ValueError(f"xstar dimension {xstar.dim} does not match problem dimension {n}")
-    bad = [k for k in range(n) if not problem.feasible(BinaryPoint.unit(n, k))]
-    if bad:
+    if not unit_points_feasible(problem):
+        bad = [k for k in range(n) if not problem.feasible(BinaryPoint.unit(n, k))]
         raise IneligibleInstanceError(
             "instance is not decomposition-eligible: unit vector infeasible "
             f"at dimension(s) {bad}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Iterator, Mapping, Tuple, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch
 
@@ -60,12 +60,6 @@ class RVector:
         if not parts:
             raise ValueError("a vector needs at least one component")
         self._parts = parts
-
-    @classmethod
-    def zeros(cls, dim: int) -> "RVector":
-        if dim < 1:
-            raise ValueError(f"dimension must be positive, got {dim}")
-        return cls([_ZERO] * dim)
 
     @property
     def dim(self) -> int:
@@ -190,6 +184,10 @@ class BinaryPoint:
     def __iter__(self) -> Iterator[int]:
         return iter(self._bits)
 
+    def dot(self, values: Sequence[Fraction]) -> Fraction:
+        """Sum of ``values`` over this point's ones: ``values . point``."""
+        return sum((values[k] for k in self._ones), _ZERO)
+
     def is_origin(self) -> bool:
         return not self._ones
 
@@ -237,7 +235,7 @@ class ConvexCombination:
     some point" are reproducible.
     """
 
-    __slots__ = ("_items", "_lookup")
+    __slots__ = ("_items",)
 
     def __init__(
         self,
@@ -266,7 +264,6 @@ class ConvexCombination:
         if total != _ONE:
             raise ValueError(f"weights sum to {total}, expected exactly 1")
         self._items = tuple(sorted(merged.items(), key=lambda kv: kv[0].bits))
-        self._lookup = dict(self._items)
 
     @classmethod
     def point_mass(cls, point: BinaryPoint) -> "ConvexCombination":
@@ -286,12 +283,6 @@ class ConvexCombination:
 
     def items(self) -> Tuple[Tuple[BinaryPoint, Fraction], ...]:
         return self._items
-
-    def weight(self, point: BinaryPoint) -> Fraction:
-        return self._lookup.get(point, _ZERO)
-
-    def __contains__(self, point: BinaryPoint) -> bool:
-        return point in self._lookup
 
     def __iter__(self) -> Iterator[BinaryPoint]:
         return iter(p for p, _ in self._items)

@@ -89,16 +89,6 @@ def _require_nonnegative(mu: RVector) -> None:
             raise ValueError(f"objective component {k} is negative: {c}")
 
 
-def _point_value(mu: RVector, point: BinaryPoint) -> Fraction:
-    """mu . point, summing only over the point's one-bits."""
-    total = _ZERO
-    for k in point.ones():
-        c = mu[k]
-        if c:
-            total += c
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Knapsack
 
@@ -132,27 +122,42 @@ class KnapsackInstance:
         return all(w <= self.capacity for w in self.weights)
 
     def fits(self, point: BinaryPoint) -> bool:
-        load = sum((self.weights[k] for k in point.ones()), _ZERO)
-        return load <= self.capacity
+        return point.dot(self.weights) <= self.capacity
 
-    def density_order(self, mu: RVector) -> List[int]:
-        """Indices with positive objective, by value density, ties by index.
+    def fractional_greedy(self, mu: RVector) -> RVector:
+        """Optimum of the relaxation for a nonnegative objective.
 
-        Items the objective ignores are excluded so that a zero objective
-        yields the origin.
+        Items with positive objective fill the capacity by decreasing value
+        density, ties by index, and the first item that does not fit takes
+        the share of it that does; that share is below 1, so the optimum's
+        ones are exactly the prefix that fits.  Items the objective ignores
+        stay 0, so a zero objective yields the origin.
         """
-        keep = [k for k in range(self.n) if mu[k] > 0]
-        keep.sort(key=lambda k: (-(mu[k] / self.weights[k]), k))
-        return keep
+        order = sorted(
+            (k for k in range(self.n) if mu[k]),
+            key=lambda k: mu[k] / self.weights[k],
+            reverse=True,
+        )
+        comps = [_ZERO] * self.n
+        remaining = self.capacity
+        for k in order:
+            w = self.weights[k]
+            if w > remaining:
+                comps[k] = remaining / w
+                break
+            comps[k] = _ONE
+            remaining -= w
+        return RVector(comps)
 
 
 class KnapsackVerifier(GapVerifier):
     """Greedy-or-best-single rule; verifies a gap of 2.
 
-    The answer is the better, by objective value, of the density-ordered
-    prefix that fits and the single most valuable item.  The fractional
-    optimum never exceeds the prefix value plus one item's value, so twice
-    the answer's value covers it.  Requires every item to fit on its own.
+    The answer is the better, by objective value, of the fractional
+    optimum rounded down (its ones, the density-ordered prefix that fits)
+    and the single most valuable item.  The fractional optimum never
+    exceeds the rounded-down value plus one item's value, so twice the
+    answer's value covers it.  Requires every item to fit on its own.
     """
 
     def __init__(self, instance: KnapsackInstance):
@@ -172,22 +177,14 @@ class KnapsackVerifier(GapVerifier):
                 f"item(s) {heavy} are heavier than the capacity; the greedy "
                 "rule does not verify a gap of 2 on such instances"
             )
-        order = inst.density_order(mu)
-        prefix_bits = [0] * inst.n
-        prefix_value = _ZERO
-        remaining = inst.capacity
-        for k in order:
-            if inst.weights[k] > remaining:
-                break
-            prefix_bits[k] = 1
-            prefix_value += mu[k]
-            remaining -= inst.weights[k]
-        if not order:
-            return BinaryPoint.origin(inst.n)
-        best_single = min(order, key=lambda k: (-mu[k], k))
-        if mu[best_single] > prefix_value:
+        rounded = BinaryPoint([int(c == 1) for c in inst.fractional_greedy(mu)])
+        # Scan only the items the objective values, as the greedy does; when
+        # there are none, item 0 is worth 0 and never beats the origin.
+        positive = (k for k in range(inst.n) if mu[k])
+        best_single = max(positive, key=mu.__getitem__, default=0)
+        if mu[best_single] > rounded.dot(mu):
             return BinaryPoint.unit(inst.n, best_single)
-        return BinaryPoint(prefix_bits)
+        return rounded
 
 
 class KnapsackProblem(PackingProblem):
@@ -226,19 +223,7 @@ class KnapsackProblem(PackingProblem):
         """Fractional greedy: fill by density, split the first misfit."""
         self._check_dim(mu)
         _require_nonnegative(mu)
-        inst = self._instance
-        comps = [_ZERO] * inst.n
-        remaining = inst.capacity
-        for k in inst.density_order(mu):
-            w = inst.weights[k]
-            if w <= remaining:
-                comps[k] = _ONE
-                remaining -= w
-            else:
-                if remaining > 0:
-                    comps[k] = remaining / w
-                break
-        return RVector(comps)
+        return self._instance.fractional_greedy(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +255,7 @@ class ExplicitVerifier(GapVerifier):
                 BinaryPoint([b if c else 0 for b, c in zip(seed.bits, mu)])
                 for seed in self._seeds
             ),
-            key=lambda p: (-_point_value(mu, p), p.bits),
+            key=lambda p: (-p.dot(mu), p.bits),
             default=BinaryPoint.origin(self.n),
         )
 

@@ -107,6 +107,52 @@ def knapsack_lp_oracle(weights, capacity, mu) -> Fraction:
     return best
 
 
+def reference_density_order(weights, mu):
+    """Indices with positive objective, by value density, ties by index."""
+    keep = [k for k in range(len(weights)) if mu[k] > 0]
+    keep.sort(key=lambda k: (-(mu[k] / weights[k]), k))
+    return keep
+
+
+def reference_knapsack_query(weights, capacity, mu) -> BinaryPoint:
+    """The knapsack verifier's answer as first written: the density-ordered
+    prefix that fits, or the single most valuable item if it is worth more."""
+    n = len(weights)
+    order = reference_density_order(weights, mu)
+    prefix_bits = [0] * n
+    prefix_value = F(0)
+    remaining = capacity
+    for k in order:
+        if weights[k] > remaining:
+            break
+        prefix_bits[k] = 1
+        prefix_value += mu[k]
+        remaining -= weights[k]
+    if not order:
+        return BinaryPoint.origin(n)
+    best_single = min(order, key=lambda k: (-mu[k], k))
+    if mu[best_single] > prefix_value:
+        return BinaryPoint.unit(n, best_single)
+    return BinaryPoint(prefix_bits)
+
+
+def reference_knapsack_relaxed_optimum(weights, capacity, mu) -> RVector:
+    """The knapsack relaxation's optimum as first written: fill by density,
+    split the first misfit."""
+    comps = [F(0)] * len(weights)
+    remaining = capacity
+    for k in reference_density_order(weights, mu):
+        w = weights[k]
+        if w <= remaining:
+            comps[k] = F(1)
+            remaining -= w
+        else:
+            if remaining > 0:
+                comps[k] = remaining / w
+            break
+    return RVector(comps)
+
+
 def brute_force_sigma(combination) -> RVector:
     """Recompute the barycenter the slow, obvious way."""
     n = combination.dim
@@ -221,7 +267,7 @@ def reference_decompose_epsilon(target: RVector, verifier, epsilon) -> EpsilonRu
 
     epsilon_sq = epsilon * epsilon
     weights = {BinaryPoint.origin(n): F(1)}
-    current = RVector.zeros(n)
+    current = RVector([F(0)] * n)
     residual = target - current
     residual_sq = squared_l2(residual)
     trace = []

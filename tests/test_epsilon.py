@@ -104,9 +104,9 @@ def _check_passes(target, log, run):
     """What the proof needs of a finished run, given its (mu, answer) log.
 
     Every pass queries the residual and records the paper's step from it;
-    no pass ends farther from the target than that step would; and the
-    weights end at the point of their support's affine hull nearest the
-    target, on at most n + 1 points.
+    pass 0 ends where that step would, and no later pass ends farther from
+    the target; and the weights end at the point of their support's affine
+    hull nearest the target, on at most n + 1 points.
     """
     assert [(rec.squared_residual, rec.sampled) for rec in run.trace] == [
         (squared_l2(mu), answer) for mu, answer in log
@@ -117,7 +117,11 @@ def _check_passes(target, log, run):
     for i, (mu, answer) in enumerate(log):
         current = target - mu
         assert run.trace[i].step == reference_optimal_step(current, answer, target)
-        assert squared_l2(residuals[i + 1]) <= _segment_sq(current, answer, target)
+        segment_sq = _segment_sq(current, answer, target)
+        if i == 0:
+            assert squared_l2(residuals[1]) == segment_sq
+        else:
+            assert squared_l2(residuals[i + 1]) <= segment_sq
     for point in run.result.support():
         assert residuals[-1].dot(point.as_vector() - barycenter) == 0
     assert run.result.support_size <= target.dim + 1
@@ -396,4 +400,4 @@ def test_points_dropped_in_a_pass_rejoin_while_the_residual_favours_them():
     for atom in pool:
         lean = residual.dot(atom.point.as_vector() - barycenter)
         assert lean == 0 if atom in corral else lean <= 0
-    assert BinaryPoint([1, 1, 0, 0, 1, 1]) in combination
+    assert BinaryPoint([1, 1, 0, 0, 1, 1]) in combination.support()

@@ -97,8 +97,9 @@ class TestBuildDominating:
         target = RVector(["1/2", "1/2"])
         dominated = build_dominating(lam, target, F(1, 2))
         # gaps are (0, 1/4); the leftover 1/4 of slack goes to the origin
-        assert dominated.weight(BinaryPoint([0, 1])) == F(1, 4) / F(3, 2)
-        assert dominated.weight(BinaryPoint([0, 0])) == (F(1, 2) + F(1, 4)) / F(3, 2)
+        weights = dict(dominated.items())
+        assert weights[BinaryPoint([0, 1])] == F(1, 4) / F(3, 2)
+        assert weights[BinaryPoint([0, 0])] == (F(1, 2) + F(1, 4)) / F(3, 2)
         assert dominated.barycenter() == RVector(["1/3", "1/3"])
 
     def test_slack_too_small(self):

@@ -1,11 +1,12 @@
-"""The package's surface: standard-library imports only, every name the
-benchmark scripts import from it still resolves, and the benchmark's
-self-test passes against it."""
+"""The package's surface: standard-library imports only, no private helper
+left unused, every name the benchmark scripts import from it still
+resolves, and the benchmark's self-test passes against it."""
 
 import ast
 import importlib
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,32 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (
                     f"{path.name} imports {name}, which is not in the standard library"
+                )
+
+
+def test_every_private_helper_is_used():
+    trees = [_parse(path) for path in sorted((ROOT / "src" / "convdecomp").glob("*.py"))]
+
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    used = Counter(name for tree in trees for name in names(tree))
+    for tree in trees:
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                inside = Counter(names(node))
+                assert used[node.name] > inside[node.name], (
+                    f"{node.name} is defined but never used in src/convdecomp"
                 )
 
 

@@ -25,6 +25,8 @@ from helpers import (
     knapsack_lp_oracle,
     random_knapsack_problem,
     random_signed_mu,
+    reference_knapsack_query,
+    reference_knapsack_relaxed_optimum,
     relaxed_value,
 )
 
@@ -98,6 +100,38 @@ class TestKnapsackLP:
             KnapsackInstance([1, 0], 5)
         with pytest.raises(InstanceFormatError):
             KnapsackInstance([1, 2], 0)
+
+
+@st.composite
+def knapsack_cases(draw):
+    """(weights, capacity, objective) with repeated densities and values,
+    zero components, and a capacity that some items fill exactly."""
+    n = draw(st.integers(1, 8))
+    halves = st.integers(0, 6).map(lambda i: F(i, 2))
+    weights = draw(st.lists(halves.filter(bool), min_size=n, max_size=n))
+    mu = draw(st.lists(halves, min_size=n, max_size=n))
+    chosen = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    filled = sum((w for w, c in zip(weights, chosen) if c), F(0))
+    capacity = max(filled + draw(st.sampled_from([0, 0, F(1, 2)])), max(weights))
+    return weights, capacity, mu
+
+
+class TestKnapsackMatchesReference:
+    """The verifier and the relaxation solver give exactly the answers of
+    the loops they replaced, ties included."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(knapsack_cases())
+    @example(([1, 1, 2], 2, [1, 1, 2]))
+    @example(([1, 2, 1], 3, [0, 0, 0]))
+    def test_answers_and_relaxed_optima(self, case):
+        weights, capacity, mu = case
+        inst = KnapsackInstance(weights, capacity)
+        problem = KnapsackProblem(inst)
+        mu = RVector(mu)
+        args = (inst.weights, inst.capacity, mu)
+        assert problem.verifier.query(mu) == reference_knapsack_query(*args)
+        assert problem.relaxed_optimum(mu) == reference_knapsack_relaxed_optimum(*args)
 
 
 def closure_by_subsets(n, rows):
