@@ -32,7 +32,7 @@ from .errors import (
     VerifierViolation,
 )
 from .exact import decompose_exact
-from .geometry import BinaryPoint, ConvexCombination, RVector, to_rational
+from .geometry import BinaryPoint, ConvexCombination, RVector, rational_text, to_rational
 from .problems import (
     ValidationReport,
     load_instance,
@@ -113,7 +113,19 @@ class RunStats:
 
 
 def _vector_to_strings(v: Optional[RVector]) -> Optional[List[str]]:
-    return None if v is None else [str(c) for c in v]
+    """Each component as ``str(Fraction)`` writes it: "p/q" in lowest terms,
+    or "p" when q is 1."""
+    if v is None:
+        return None
+    den = v.denominator
+    texts = []
+    for c in v.numerators:
+        common = math.gcd(c, den)
+        if common == den:
+            texts.append(str(c // den))
+        else:
+            texts.append(f"{c // common}/{den // common}")
+    return texts
 
 
 def _vector_from_strings(data) -> Optional[RVector]:
@@ -431,7 +443,7 @@ def parse_config(argv) -> RunConfig:
         raise CLIUsageError(f"cannot parse --epsilon {args.epsilon!r}: {bad}") from bad
     mu = _parse_vector(args.mu, "--mu") if args.mu is not None else None
     xstar = _parse_vector(args.xstar, "--xstar") if args.xstar is not None else None
-    if mu is not None and any(c < 0 for c in mu):
+    if mu is not None and min(mu.numerators) < 0:
         raise CLIUsageError("--mu must be nonnegative")
     try:
         return RunConfig(
@@ -450,7 +462,8 @@ def parse_config(argv) -> RunConfig:
 
 
 def _emit(report: DecompositionReport, out: Optional[str]) -> None:
-    text = report.to_json()
+    with _unlimited_int_digits():
+        text = report.to_json()
     if out is None:
         print(text)
     else:
@@ -463,8 +476,10 @@ def _emit(report: DecompositionReport, out: Optional[str]) -> None:
 def _unlimited_int_digits():
     """Lift the int-to-string limit of Python 3.10.7+ for the block.
 
-    Exact weights can outgrow it.  The limit is process-wide, so it is
-    restored when the block exits.
+    Exact weights can outgrow it, so reports are written and read without
+    it.  Everything else, instance files and flags included, keeps the
+    interpreter's guard against quadratic ``int(str)``.  The limit is
+    process-wide, so it is restored when the block exits.
     """
     saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if saved:
@@ -477,11 +492,6 @@ def _unlimited_int_digits():
 
 
 def main(argv=None) -> int:
-    with _unlimited_int_digits():
-        return _main(argv)
-
-
-def _main(argv) -> int:
     try:
         config = parse_config(argv)
     except CLIUsageError as bad:
@@ -500,7 +510,7 @@ def _main(argv) -> int:
         if bad.mu is not None:
             print(
                 "certificate objective: "
-                + ",".join(str(c) for c in bad.mu),
+                + ",".join(map(rational_text, bad.mu)),
                 file=sys.stderr,
             )
         return EXIT_VERIFIER

@@ -39,6 +39,7 @@ from .geometry import (
     ConvexCombination,
     RVector,
     RationalLike,
+    rational_text,
     squared_l2,
     to_rational,
 )
@@ -98,7 +99,7 @@ class _Atom(NamedTuple):
 
 def _atom(point: BinaryPoint, target: RVector) -> _Atom:
     mask = int.from_bytes(bytes(point.bits), "big")
-    return _Atom(point, mask, point.dot(target))
+    return _Atom(point, mask, Fraction(point.dot(target.numerators), target.denominator))
 
 
 def _affine_weights(corral: List[_Atom]) -> List[Fraction]:
@@ -160,8 +161,9 @@ def _nearest(
             weights = [w for w in weights if w]
             alpha = _affine_weights(corral)
         residual = target - _combination(corral, alpha).barycenter()
-        level = corral[0].point.dot(residual)
-        better = [a for a in pool if a not in corral and a.point.dot(residual) > level]
+        lean = residual.numerators
+        level = corral[0].point.dot(lean)
+        better = [a for a in pool if a not in corral and a.point.dot(lean) > level]
         if not better:
             return corral, alpha, residual
         corral = corral + better[:1]
@@ -192,9 +194,11 @@ def decompose_epsilon(
         raise ValueError(
             f"verifier dimension {verifier.n} does not match target dimension {n}"
         )
-    for k, c in enumerate(target):
-        if c < 0 or c > 1:
-            raise ValueError(f"target component {k} is {c}, outside [0, 1]")
+    num = target.numerators
+    if min(num) < 0 or max(num) > target.denominator:
+        for k, c in enumerate(target):
+            if c < 0 or c > 1:
+                raise ValueError(f"target component {k} is {c}, outside [0, 1]")
 
     epsilon_sq = epsilon * epsilon
     residual = target
@@ -207,8 +211,8 @@ def decompose_epsilon(
         i = len(trace)
         if residual_sq > Fraction(n, i + 1):
             raise VerifierGapViolation(
-                f"squared residual {residual_sq} exceeds {n}/{i + 1} at pass {i}; "
-                "the verifier does not verify its claimed gap",
+                f"squared residual {rational_text(residual_sq)} exceeds {n}/{i + 1} "
+                f"at pass {i}; the verifier does not verify its claimed gap",
                 mu=residual,
                 iteration=i,
             )
@@ -217,8 +221,8 @@ def decompose_epsilon(
         shortfall = residual.dot(away)
         if shortfall > 0:
             raise VerifierGapViolation(
-                f"sampled point undershoots the target by {shortfall} along the "
-                f"residual direction at pass {i}",
+                "sampled point undershoots the target by "
+                f"{rational_text(shortfall)} along the residual direction at pass {i}",
                 mu=residual,
                 sampled=sampled,
                 iteration=i,
@@ -244,7 +248,7 @@ def decompose_epsilon(
         if new_sq >= residual_sq:
             raise VerifierGapViolation(
                 f"no progress at pass {i}: squared residual went from "
-                f"{residual_sq} to {new_sq}",
+                f"{rational_text(residual_sq)} to {rational_text(new_sq)}",
                 mu=residual,
                 sampled=sampled,
                 iteration=i,

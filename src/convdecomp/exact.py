@@ -105,19 +105,21 @@ def build_dominating(
         raise ValueError(
             f"target dimension {target_over_alpha.dim} does not match combination dimension {n}"
         )
-    sigma = combination.barycenter()
-    gaps = [abs(t - c) for t, c in zip(target_over_alpha, sigma)]
-    total_gap = sum(gaps, _ZERO)
+    difference = target_over_alpha - combination.barycenter()
+    gaps = [abs(c) for c in difference.numerators]
+    total_gap = Fraction(sum(gaps), difference.denominator)
     if total_gap > s:
         raise SlackTooSmall(
             f"coordinate gaps sum to {total_gap}, exceeding the slack {s}"
         )
     scale = _ONE / (_ONE + s)
     weights = {point: w * scale for point, w in combination.items()}
+    unit_den = difference.denominator * scale.denominator
     for k, gap in enumerate(gaps):
         if gap:
             unit = BinaryPoint.unit(n, k)
-            weights[unit] = weights.get(unit, _ZERO) + gap * scale
+            share = Fraction(gap * scale.numerator, unit_den)
+            weights[unit] = weights.get(unit, _ZERO) + share
     padding = s - total_gap
     if padding:
         origin = BinaryPoint.origin(n)
@@ -146,19 +148,25 @@ def reduce_to_exact(
     n = dominating.dim
     if x.dim != n:
         raise ValueError(f"target dimension {x.dim} does not match combination dimension {n}")
-    sigma = list(dominating.barycenter())
-    for k, (have, want) in enumerate(zip(sigma, x)):
-        if want < 0:
-            raise ValueError(f"target component {k} is negative: {want}")
-        if have < want:
+    sigma = dominating.barycenter()
+    items = dominating.items()
+    # Every number below is an int over one denominator, which must include
+    # every weight's: a step moves a whole weight or the surplus.
+    den = math.lcm(x.denominator, sigma.denominator, *(w.denominator for _, w in items))
+    have = [c * (den // sigma.denominator) for c in sigma.numerators]
+    want = [c * (den // x.denominator) for c in x.numerators]
+    for k in range(n):
+        if want[k] < 0:
+            raise ValueError(f"target component {k} is negative: {x[k]}")
+        if have[k] < want[k]:
             raise DominanceViolation(
-                f"barycenter component {k} is {have}, below the target {want}"
+                f"barycenter component {k} is {sigma[k]}, below the target {x[k]}"
             )
 
-    weights = dict(dominating.items())
+    weights = {point: w.numerator * (den // w.denominator) for point, w in items}
     steps = 0
     for k in range(n):
-        while sigma[k] > x[k]:
+        while have[k] > want[k]:
             candidates = [p for p in weights if p[k] == 1]
             if not candidates:
                 raise DominanceViolation(
@@ -166,7 +174,7 @@ def reduce_to_exact(
                     f"barycenter still exceeds the target there"
                 )
             y = min(candidates, key=lambda p: (-weights[p], p.bits))
-            surplus = sigma[k] - x[k]
+            surplus = have[k] - want[k]
             moved = weights[y] if weights[y] < surplus else surplus
             lowered = y.minus_unit(k)
             if not problem.feasible(lowered):
@@ -180,10 +188,10 @@ def reduce_to_exact(
                 weights[y] = remaining
             else:
                 del weights[y]
-            weights[lowered] = weights.get(lowered, _ZERO) + moved
-            sigma[k] -= moved
+            weights[lowered] = weights.get(lowered, 0) + moved
+            have[k] -= moved
             steps += 1
-    return ConvexCombination(weights), steps
+    return ConvexCombination((p, Fraction(w, den)) for p, w in weights.items()), steps
 
 
 def decompose_exact(

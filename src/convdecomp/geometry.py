@@ -1,6 +1,6 @@
 """Exact rational vectors, binary lattice points, and convex combinations.
 
-Everything in this module is an immutable value over exact fractions, and no
+Everything in this module is an immutable value over exact rationals, and no
 operation rounds.  These are the carriers for the whole pipeline: targets and
 residuals are rational vectors, solution candidates are 0/1 points, and
 distributions over candidates are convex combinations whose weights sum to
@@ -9,8 +9,10 @@ exactly 1 as a rational identity.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch
@@ -50,29 +52,87 @@ def to_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-class RVector:
-    """Immutable fixed-dimension vector with exact rational components."""
+def rational_text(value: Fraction) -> str:
+    """``str(value)``, or its size in bits where that would pass the
+    interpreter's int-to-string limit (Python 3.10.7+).
 
-    __slots__ = ("_parts",)
+    Reports are written with the limit lifted, but a run is not, so error
+    messages about derived numbers format them with this and never raise.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        return (
+            f"<rational of {value.numerator.bit_length()} bits over "
+            f"{value.denominator.bit_length()} bits>"
+        )
+
+
+class RVector:
+    """Immutable fixed-dimension vector with exact rational components.
+
+    Stored as a tuple of integer numerators over one positive common
+    denominator, in lowest terms: no prime divides the denominator and every
+    numerator.  The form is canonical, so equal vectors store equal
+    numerators and denominators, and arithmetic runs on plain ints.
+    Indexing and iteration yield Fractions.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, components: Iterable[RationalLike]):
-        parts = tuple(to_rational(c) for c in components)
+        parts = [to_rational(c) for c in components]
         if not parts:
             raise ValueError("a vector needs at least one component")
-        self._parts = parts
+        # No reduction is needed: for each prime p of den, some part's
+        # denominator q holds p to the same power as den, and that part's
+        # numerator and den // q are both coprime to p.
+        den = math.lcm(*(p.denominator for p in parts))
+        self._num = tuple(p.numerator * (den // p.denominator) for p in parts)
+        self._den = den
+
+    @classmethod
+    def from_numerators(cls, numerators: Iterable[int], denominator: int = 1) -> "RVector":
+        """The vector ``numerators / denominator``, reduced to lowest terms.
+
+        ``denominator`` must be a positive int and the numerators ints.
+        """
+        num = tuple(numerators)
+        if not num:
+            raise ValueError("a vector needs at least one component")
+        if denominator <= 0:
+            raise ValueError(f"denominator must be positive, got {denominator}")
+        common = math.gcd(denominator, *num)
+        if common != 1:
+            num = tuple(a // common for a in num)
+            denominator //= common
+        vector = object.__new__(cls)
+        vector._num = num
+        vector._den = denominator
+        return vector
+
+    @property
+    def numerators(self) -> Tuple[int, ...]:
+        """The components times :attr:`denominator`, as ints."""
+        return self._num
+
+    @property
+    def denominator(self) -> int:
+        """The least positive common denominator of the components."""
+        return self._den
 
     @property
     def dim(self) -> int:
-        return len(self._parts)
+        return len(self._num)
 
     def __len__(self) -> int:
-        return len(self._parts)
+        return len(self._num)
 
     def __getitem__(self, index: int) -> Fraction:
-        return self._parts[index]
+        return Fraction(self._num[index], self._den)
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._parts)
+        return map(Fraction, self._num, repeat(self._den))
 
     def _check_dim(self, other: "RVector") -> None:
         if self.dim != other.dim:
@@ -80,40 +140,51 @@ class RVector:
                 f"vector dimensions differ: {self.dim} vs {other.dim}"
             )
 
+    def _combine(self, other: "RVector", op) -> "RVector":
+        """``op`` applied componentwise to both vectors over a common denominator."""
+        self._check_dim(other)
+        a, b = self._den, other._den
+        if a == b:
+            return RVector.from_numerators(map(op, self._num, other._num), a)
+        common = math.gcd(a, b)
+        sa, sb = b // common, a // common
+        return RVector.from_numerators(
+            (op(x * sa, y * sb) for x, y in zip(self._num, other._num)), a * sa
+        )
+
     def __add__(self, other: "RVector") -> "RVector":
         if not isinstance(other, RVector):
             return NotImplemented
-        self._check_dim(other)
-        return RVector(a + b for a, b in zip(self._parts, other._parts))
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "RVector") -> "RVector":
         if not isinstance(other, RVector):
             return NotImplemented
-        self._check_dim(other)
-        return RVector(a - b for a, b in zip(self._parts, other._parts))
+        return self._combine(other, operator.sub)
 
     def scale(self, factor: RationalLike) -> "RVector":
         f = to_rational(factor)
-        return RVector(f * a for a in self._parts)
+        p = f.numerator
+        return RVector.from_numerators(
+            (p * a for a in self._num), f.denominator * self._den
+        )
 
     def dot(self, other: "RVector") -> Fraction:
         self._check_dim(other)
-        total = _ZERO
-        for a, b in zip(self._parts, other._parts):
-            if a and b:
-                total += a * b
-        return total
+        return Fraction(
+            sum(map(operator.mul, self._num, other._num)), self._den * other._den
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RVector):
             return NotImplemented
-        return self._parts == other._parts
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(self._parts)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
-        return "RVector((%s))" % ", ".join(f"'{c}'" for c in self._parts)
+        return "RVector((%s))" % ", ".join(f"'{c}'" for c in self)
 
 
 def squared_l2(v: RVector) -> Fraction:
@@ -122,11 +193,8 @@ def squared_l2(v: RVector) -> Fraction:
     Comparisons throughout the pipeline are done on squared norms so that
     irrational square roots never arise.
     """
-    total = _ZERO
-    for c in v:
-        if c:
-            total += c * c
-    return total
+    num = v.numerators
+    return Fraction(sum(map(operator.mul, num, num)), v.denominator**2)
 
 
 class BinaryPoint:
@@ -184,9 +252,13 @@ class BinaryPoint:
     def __iter__(self) -> Iterator[int]:
         return iter(self._bits)
 
-    def dot(self, values: Sequence[Fraction]) -> Fraction:
-        """Sum of ``values`` over this point's ones: ``values . point``."""
-        return sum((values[k] for k in self._ones), _ZERO)
+    def dot(self, values: Sequence[int]) -> int:
+        """Sum of ``values`` over this point's ones: ``values . point``.
+
+        For an :class:`RVector` pass its numerators; the sum is then the
+        numerator of the dot product over the vector's denominator.
+        """
+        return sum(map(values.__getitem__, self._ones))
 
     def is_origin(self) -> bool:
         return not self._ones
@@ -206,7 +278,7 @@ class BinaryPoint:
         return all(a >= b for a, b in zip(self._bits, other._bits))
 
     def as_vector(self) -> RVector:
-        return RVector(self._bits)
+        return RVector.from_numerators(self._bits)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BinaryPoint):
@@ -293,11 +365,13 @@ class ConvexCombination:
         Every component lies in [0, 1] because the support is binary and the
         weights form a distribution.
         """
-        comps = [_ZERO] * self.dim
+        den = math.lcm(*(w.denominator for _, w in self._items))
+        comps = [0] * self.dim
         for point, w in self._items:
+            share = w.numerator * (den // w.denominator)
             for k in point.ones():
-                comps[k] += w
-        return RVector(comps)
+                comps[k] += share
+        return RVector.from_numerators(comps, den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConvexCombination):

@@ -11,9 +11,12 @@ maximization; they are the workhorse for oracle-backed testing.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -70,7 +73,8 @@ class PackingProblem(ABC):
         Problems that can test their relaxation exactly override this.
         """
         self._check_dim(x)
-        return all(_ZERO <= c <= _ONE for c in x)
+        num = x.numerators
+        return min(num) >= 0 and max(num) <= x.denominator
 
     def extended_verifier(self) -> ExtendedVerifier:
         """The verifier wrapped for arbitrary signed objectives."""
@@ -84,9 +88,10 @@ class PackingProblem(ABC):
 
 
 def _require_nonnegative(mu: RVector) -> None:
-    for k, c in enumerate(mu):
-        if c < 0:
-            raise ValueError(f"objective component {k} is negative: {c}")
+    if min(mu.numerators) < 0:
+        for k, c in enumerate(mu):
+            if c < 0:
+                raise ValueError(f"objective component {k} is negative: {c}")
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +121,25 @@ class KnapsackInstance:
     def n(self) -> int:
         return len(self.weights)
 
-    @property
+    # The integer forms below are worked out on first use, so loading an
+    # instance does no more than parse it.
+
+    @cached_property
+    def _scaled(self) -> Tuple[Tuple[int, ...], int]:
+        """The weights and the capacity as ints over their common denominator."""
+        den = math.lcm(self.capacity.denominator, *(w.denominator for w in self.weights))
+        weights = tuple(w.numerator * (den // w.denominator) for w in self.weights)
+        return weights, self.capacity.numerator * (den // self.capacity.denominator)
+
+    @cached_property
     def decomposition_eligible(self) -> bool:
         """True iff every single item fits on its own."""
-        return all(w <= self.capacity for w in self.weights)
+        weights, capacity = self._scaled
+        return max(weights) <= capacity
 
     def fits(self, point: BinaryPoint) -> bool:
-        return point.dot(self.weights) <= self.capacity
+        weights, capacity = self._scaled
+        return point.dot(weights) <= capacity
 
     def fractional_greedy(self, mu: RVector) -> RVector:
         """Optimum of the relaxation for a nonnegative objective.
@@ -133,21 +150,33 @@ class KnapsackInstance:
         ones are exactly the prefix that fits.  Items the objective ignores
         stay 0, so a zero objective yields the origin.
         """
+        weights, remaining = self._scaled
+        num = mu.numerators
+        # With W the scaled weights, all below 2^b, two distinct densities
+        # num_k / W_k differ by at least 1 / (W_i W_j) > 2^-2b, so their
+        # floors after scaling by 2^2b differ too: an exact integer key.
+        shift = 2 * max(weights).bit_length()
+        keys = [(c << shift) // w for c, w in zip(num, weights)]
         order = sorted(
-            (k for k in range(self.n) if mu[k]),
-            key=lambda k: mu[k] / self.weights[k],
-            reverse=True,
+            filter(num.__getitem__, range(self.n)), key=keys.__getitem__, reverse=True
         )
-        comps = [_ZERO] * self.n
-        remaining = self.capacity
+        taken = []
+        share = _ZERO
         for k in order:
-            w = self.weights[k]
+            w = weights[k]
             if w > remaining:
-                comps[k] = remaining / w
+                share = Fraction(remaining, w)
+                misfit = k
                 break
-            comps[k] = _ONE
+            taken.append(k)
             remaining -= w
-        return RVector(comps)
+        den = share.denominator
+        comps = [0] * self.n
+        for k in taken:
+            comps[k] = den
+        if share:
+            comps[misfit] = share.numerator
+        return RVector.from_numerators(comps, den)
 
 
 class KnapsackVerifier(GapVerifier):
@@ -177,12 +206,14 @@ class KnapsackVerifier(GapVerifier):
                 f"item(s) {heavy} are heavier than the capacity; the greedy "
                 "rule does not verify a gap of 2 on such instances"
             )
-        rounded = BinaryPoint([int(c == 1) for c in inst.fractional_greedy(mu)])
+        greedy = inst.fractional_greedy(mu)
+        rounded = BinaryPoint([int(c == greedy.denominator) for c in greedy.numerators])
         # Scan only the items the objective values, as the greedy does; when
         # there are none, item 0 is worth 0 and never beats the origin.
-        positive = (k for k in range(inst.n) if mu[k])
-        best_single = max(positive, key=mu.__getitem__, default=0)
-        if mu[best_single] > rounded.dot(mu):
+        num = mu.numerators
+        positive = filter(num.__getitem__, range(inst.n))
+        best_single = max(positive, key=num.__getitem__, default=0)
+        if num[best_single] > rounded.dot(num):
             return BinaryPoint.unit(inst.n, best_single)
         return rounded
 
@@ -216,8 +247,8 @@ class KnapsackProblem(PackingProblem):
         """Exact test: the box and the capacity, w . x <= capacity."""
         if not super().relaxation_contains(x):
             return False
-        load = sum((w * c for w, c in zip(self._instance.weights, x)), _ZERO)
-        return load <= self._instance.capacity
+        weights, capacity = self._instance._scaled
+        return sum(map(operator.mul, weights, x.numerators)) <= capacity * x.denominator
 
     def relaxed_optimum(self, mu: RVector) -> RVector:
         """Fractional greedy: fill by density, split the first misfit."""
@@ -250,12 +281,13 @@ class ExplicitVerifier(GapVerifier):
                 f"objective dimension {mu.dim} does not match polytope dimension {self.n}"
             )
         _require_nonnegative(mu)
+        num = mu.numerators
         return min(
             (
-                BinaryPoint([b if c else 0 for b, c in zip(seed.bits, mu)])
+                BinaryPoint([b if c else 0 for b, c in zip(seed.bits, num)])
                 for seed in self._seeds
             ),
-            key=lambda p: (-p.dot(mu), p.bits),
+            key=lambda p: (-p.dot(num), p.bits),
             default=BinaryPoint.origin(self.n),
         )
 
@@ -361,11 +393,12 @@ def validate_decomposition(
         )
     elif epsilon is None:
         sigma = combination.barycenter()
-        for k in range(target.dim):
-            if sigma[k] != target[k]:
-                failures.append(
-                    f"barycenter component {k} is {sigma[k]}, target wants {target[k]}"
-                )
+        if sigma != target:
+            for k in range(target.dim):
+                if sigma[k] != target[k]:
+                    failures.append(
+                        f"barycenter component {k} is {sigma[k]}, target wants {target[k]}"
+                    )
     else:
         actual = squared_l2(target - combination.barycenter())
         if squared_residual is not None and actual != squared_residual:
@@ -400,7 +433,9 @@ def load_instance(source: Union[str, Path, dict]) -> PackingProblem:
         with open(source, "r", encoding="utf-8") as handle:
             try:
                 data = json.load(handle)
-            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as bad:
+            # Decoding and JSON errors are ValueErrors, and so is an integer
+            # past the interpreter's int-to-string limit.
+            except (ValueError, RecursionError) as bad:
                 raise InstanceFormatError(f"cannot read instance {source}: {bad}") from bad
     else:
         raise TypeError(f"instance source must be a path or dict, got {type(source).__name__}")

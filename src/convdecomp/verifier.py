@@ -19,8 +19,6 @@ from typing import Callable
 from .errors import DimensionMismatch, InfeasiblePoint
 from .geometry import BinaryPoint, RVector, to_rational
 
-_ZERO = Fraction(0)
-
 
 class GapVerifier(ABC):
     """Oracle returning feasible points that certify an integrality gap.
@@ -55,7 +53,10 @@ class GapVerifier(ABC):
 
 def clip_negative(mu: RVector) -> RVector:
     """Componentwise maximum with zero."""
-    return RVector(c if c > 0 else _ZERO for c in mu)
+    num = mu.numerators
+    if min(num) >= 0:
+        return mu
+    return RVector.from_numerators((max(c, 0) for c in num), mu.denominator)
 
 
 class ExtendedVerifier:
@@ -98,7 +99,7 @@ class ExtendedVerifier:
                 f"verifier returned infeasible point {answer!r}", point=answer
             )
         zeroed = BinaryPoint(
-            0 if mu[k] < 0 else answer[k] for k in range(self.n)
+            0 if c < 0 else b for c, b in zip(mu.numerators, answer.bits)
         )
         if zeroed != answer and not self._feasible(zeroed):
             # Zeroing components must stay feasible when the problem is

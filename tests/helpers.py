@@ -10,11 +10,13 @@ from convdecomp import (
     BinaryPoint,
     ConvexCombination,
     DimensionMismatch,
+    DominanceViolation,
     ExplicitProblem,
     GapVerifier,
     KnapsackInstance,
     KnapsackProblem,
     RVector,
+    SlackTooSmall,
     VerifierGapViolation,
     clip_negative,
     squared_l2,
@@ -317,3 +319,127 @@ def reference_decompose_epsilon(target: RVector, verifier, epsilon) -> EpsilonRu
         result=ConvexCombination(weights),
         final_squared_residual=residual_sq,
     )
+
+
+class ReferenceVector:
+    """Rational vectors as first written: a tuple of Fractions, with every
+    operation done one Fraction at a time.  The package's integer-numerator
+    ``RVector`` must agree with it on every operation."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, components):
+        parts = tuple(to_rational(c) for c in components)
+        if not parts:
+            raise ValueError("a vector needs at least one component")
+        self._parts = parts
+
+    def __len__(self):
+        return len(self._parts)
+
+    def __getitem__(self, index):
+        return self._parts[index]
+
+    def __iter__(self):
+        return iter(self._parts)
+
+    def __add__(self, other):
+        return ReferenceVector(a + b for a, b in zip(self._parts, other._parts))
+
+    def __sub__(self, other):
+        return ReferenceVector(a - b for a, b in zip(self._parts, other._parts))
+
+    def scale(self, factor):
+        f = to_rational(factor)
+        return ReferenceVector(f * a for a in self._parts)
+
+    def dot(self, other):
+        total = F(0)
+        for a, b in zip(self._parts, other._parts):
+            if a and b:
+                total += a * b
+        return total
+
+    def __eq__(self, other):
+        return self._parts == other._parts
+
+    def __hash__(self):
+        return hash(self._parts)
+
+    def __repr__(self):
+        return "RVector((%s))" % ", ".join(f"'{c}'" for c in self._parts)
+
+
+def reference_squared_l2(v) -> Fraction:
+    total = F(0)
+    for c in v:
+        if c:
+            total += c * c
+    return total
+
+
+def reference_barycenter(combination) -> ReferenceVector:
+    comps = [F(0)] * combination.dim
+    for point, w in combination.items():
+        for k in point.ones():
+            comps[k] += w
+    return ReferenceVector(comps)
+
+
+def reference_clip_negative(mu) -> ReferenceVector:
+    return ReferenceVector(c if c > 0 else F(0) for c in mu)
+
+
+def reference_build_dominating(combination, target_over_alpha, slack) -> ConvexCombination:
+    """``build_dominating`` as first written, one Fraction per component."""
+    s = to_rational(slack)
+    n = combination.dim
+    sigma = reference_barycenter(combination)
+    gaps = [abs(t - c) for t, c in zip(target_over_alpha, sigma)]
+    total_gap = sum(gaps, F(0))
+    if total_gap > s:
+        raise SlackTooSmall(f"coordinate gaps sum to {total_gap}, exceeding the slack {s}")
+    scale = 1 / (1 + s)
+    weights = {point: w * scale for point, w in combination.items()}
+    for k, gap in enumerate(gaps):
+        if gap:
+            unit = BinaryPoint.unit(n, k)
+            weights[unit] = weights.get(unit, F(0)) + gap * scale
+    padding = s - total_gap
+    if padding:
+        origin = BinaryPoint.origin(n)
+        weights[origin] = weights.get(origin, F(0)) + padding * scale
+    return ConvexCombination(weights)
+
+
+def reference_reduce_to_exact(dominating, x, problem):
+    """``reduce_to_exact`` as first written: the barycenter, the target and
+    the weights stay Fractions, and each step moves one Fraction."""
+    n = dominating.dim
+    sigma = list(reference_barycenter(dominating))
+    for k, (have, want) in enumerate(zip(sigma, x)):
+        if want < 0:
+            raise ValueError(f"target component {k} is negative: {want}")
+        if have < want:
+            raise DominanceViolation(
+                f"barycenter component {k} is {have}, below the target {want}"
+            )
+    weights = dict(dominating.items())
+    steps = 0
+    for k in range(n):
+        while sigma[k] > x[k]:
+            candidates = [p for p in weights if p[k] == 1]
+            y = min(candidates, key=lambda p: (-weights[p], p.bits))
+            surplus = sigma[k] - x[k]
+            moved = weights[y] if weights[y] < surplus else surplus
+            lowered = y.minus_unit(k)
+            assert problem.feasible(lowered)
+            remaining = weights[y] - moved
+            if remaining:
+                weights[y] = remaining
+            else:
+                del weights[y]
+            weights[lowered] = weights.get(lowered, F(0)) + moved
+            sigma[k] -= moved
+            steps += 1
+    return ConvexCombination(weights), steps

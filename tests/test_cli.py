@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import math
+import random
+import re
 import sys
 from fractions import Fraction
 
@@ -699,3 +702,111 @@ class TestMain:
         limit = sys.get_int_max_str_digits()
         assert DecompositionReport.from_json(out.read_text()) == report
         assert sys.get_int_max_str_digits() == limit
+
+
+WALL_TIME = re.compile(r'"wall_time_seconds": [^,\n}]*')
+EXPLICIT_ROWS = [
+    "00000001111001", "10101010010100", "10111110001000", "11001100001111",
+    "11101111000011", "11110111010011", "10101000000001", "00100001111000",
+    "01001001101010",
+]
+
+
+def _knapsack_96(tmp_path):
+    """A seeded n = 96 knapsack file, shaped like the benchmark's, and an
+    objective for it."""
+    rng = random.Random(96)
+    weights = [rng.randint(1, 480) for _ in range(96)]
+    path = tmp_path / "knapsack96.json"
+    path.write_text(json.dumps({"problem": "knapsack", "weights": weights, "capacity": 480}))
+    mu = ",".join(f"{rng.randint(1, 24)}/{rng.randint(1, 4)}" for _ in range(96))
+    return str(path), mu
+
+
+def _explicit_14(tmp_path):
+    rows = [[int(b) for b in row] for row in EXPLICIT_ROWS]
+    rows += [[int(j == k) for j in range(14)] for k in range(14)]
+    path = tmp_path / "explicit14.json"
+    path.write_text(json.dumps({"problem": "explicit", "n": 14, "points": rows}))
+    xstar = ",".join("4/9" if k == 4 else "1/9" if k == 10 else "0" for k in range(14))
+    return str(path), xstar
+
+
+class TestGoldenReports:
+    """Report bytes, wall time aside, pinned by sha256 so that a change to
+    the text fails here and not only in the benchmark's digests."""
+
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ("knapsack-exact", "c6650179dc898a4f72931bbbf63995775175ab6eec9ba61064126d153982a394"),
+            ("explicit-overall", "d17339854a0bde2b1599dd5591f854dbae4f8a57c23e5a528935c1efdefda9a6"),
+            ("knapsack-epsilon", "184f36f90ed83346686ee799c3df0a0da53f9cdaf493f063eab9824768424920"),
+        ],
+    )
+    def test_report_digest(self, tmp_path, capsys, case, digest):
+        if case == "explicit-overall":
+            path, xstar = _explicit_14(tmp_path)
+            args = ["--instance", path, "--xstar", xstar, "--epsilon", "1",
+                    "--mode", "exact-overall", "--verify", "--sample", "1000", "--seed", "7"]
+        else:
+            path, mu = _knapsack_96(tmp_path)
+            args = ["--instance", path, "--mu", mu]
+            if case == "knapsack-exact":
+                args += ["--epsilon", "1/50", "--mode", "exact"]
+            else:
+                args += ["--epsilon", "1/10", "--mode", "epsilon", "--verify", "--sample", "20"]
+        assert main(args) == 0
+        text = WALL_TIME.sub("", capsys.readouterr().out)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="interpreter has no int-to-string limit",
+)
+class TestIntStrLimit:
+    """Instance files and flags keep the interpreter's guard against
+    quadratic int(str); only reports are written and read without it."""
+
+    @staticmethod
+    def _huge():
+        return "1" + "0" * sys.get_int_max_str_digits()
+
+    @pytest.mark.parametrize("as_string", [True, False], ids=["string", "json-int"])
+    def test_number_past_the_limit_in_an_instance_exits_4(
+        self, tmp_path, capsys, as_string
+    ):
+        weight = self._huge() if as_string else "@"
+        text = json.dumps({"problem": "knapsack", "weights": [weight, "1"], "capacity": "5"})
+        if not as_string:
+            text = text.replace('"@"', self._huge())
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        limit = sys.get_int_max_str_digits()
+        assert main(["--instance", str(path), "--mu", "1,1", "--epsilon", "1/2"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "0" * 100 not in err
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("flag", ["--mu", "--xstar", "--epsilon"])
+    def test_number_past_the_limit_in_a_flag_exits_4(self, cube_file, capsys, flag):
+        huge = f"1/{self._huge()}"
+        args = {"--mu": ["--mu", f"{huge},1", "--epsilon", "1/2"],
+                "--xstar": ["--xstar", f"{huge},0", "--epsilon", "1/2"],
+                "--epsilon": ["--mu", "1,1", "--epsilon", huge]}[flag]
+        assert main(["--instance", cube_file, *args]) == 4
+        assert capsys.readouterr().err.startswith(f"error: cannot parse {flag}")
+
+    def test_error_message_does_not_format_a_number_past_the_limit(self, tmp_path, capsys):
+        # Outside the hull of {e1, e2}: the gap check fires on pass 0 with a
+        # shortfall whose numerator and denominator pass the limit.
+        path = tmp_path / "segment.json"
+        path.write_text(json.dumps({"problem": "explicit", "n": 2, "points": [[1, 0], [0, 1]]}))
+        q = 10 ** (sys.get_int_max_str_digits() // 2 + 10) + 1
+        xstar = f"{q - 1}/{q},{q - 1}/{q}"
+        rc = main(["--instance", str(path), "--xstar", xstar, "--epsilon", "1/2"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "undershoots the target by <rational of" in err
+        assert "certificate objective: " in err

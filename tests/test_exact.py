@@ -7,6 +7,7 @@ from convdecomp import (
     BinaryPoint,
     ConvexCombination,
     DominanceViolation,
+    ExplicitProblem,
     GapVerifier,
     IneligibleInstanceError,
     KnapsackInstance,
@@ -266,6 +267,29 @@ class TestDecomposeExact:
         assert run.phase1.epsilon == F(1, 4)
         assert run.scaled_target == xstar.scale(F(2, 3))
         assert run.result.barycenter() == run.scaled_target
+
+    def test_weight_denominators_outside_the_target_are_kept(self):
+        """The benchmark's explicit-oracle request 33 at seed 502.
+
+        Its dominating combination has weights over 36 and 12 while the
+        scaled target's components are over 9 and 18, so a reduction
+        that did its bookkeeping over the target's and the barycenter's
+        denominators alone would miss the target here.
+        """
+        rows = [
+            "00000001111001", "10101010010100", "10111110001000", "11001100001111",
+            "11101111000011", "11110111010011", "10101000000001", "00100001111000",
+            "01001001101010",
+        ]
+        n = 14
+        points = [BinaryPoint(int(b) for b in row) for row in rows]
+        points += [BinaryPoint.unit(n, k) for k in range(n)]
+        problem = ExplicitProblem(n, points)
+        xstar = RVector(F(4, 9) if k == 4 else F(1, 9) if k == 10 else 0 for k in range(n))
+        run = decompose_exact(problem, xstar, 1, overall=True)
+        expected = xstar.scale(F(1) / (problem.alpha * (1 + run.slack)))
+        assert run.result.barycenter() == expected
+        assert {w.denominator for _, w in run.dominating.items()} == {12, 36}
 
     def test_pipeline_randomized(self):
         rng = random.Random(43)

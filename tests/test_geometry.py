@@ -1,23 +1,35 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from convdecomp import (
     BinaryPoint,
     ConvexCombination,
     DimensionMismatch,
+    DominanceViolation,
     RVector,
+    SlackTooSmall,
+    build_dominating,
+    clip_negative,
+    reduce_to_exact,
     squared_l2,
     to_rational,
 )
 from helpers import (
+    ReferenceVector,
     brute_force_sigma,
     cube_problem,
     feasible_points,
     l1_distance,
     random_combination,
+    reference_barycenter,
+    reference_build_dominating,
+    reference_clip_negative,
+    reference_reduce_to_exact,
+    reference_squared_l2,
 )
 
 F = Fraction
@@ -245,3 +257,137 @@ class TestRandomizedProperties:
             sigma = lam.barycenter()
             assert all(0 <= c <= 1 for c in sigma)
             assert sigma == brute_force_sigma(lam)
+
+
+# Denominators made of the primes 2 and 3 only, so sums, differences and
+# products of components cancel often.
+SHARED_DENOMINATORS = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 18, 24, 36, 72])
+RATIONALS = st.builds(F, st.integers(-72, 72), SHARED_DENOMINATORS)
+UNIT_RATIONALS = SHARED_DENOMINATORS.flatmap(lambda d: st.integers(0, d).map(lambda a: F(a, d)))
+
+
+@st.composite
+def vector_pairs(draw):
+    n = draw(st.integers(1, 8))
+    components = st.lists(RATIONALS, min_size=n, max_size=n)
+    return draw(components), draw(components)
+
+
+@st.composite
+def combination_cases(draw):
+    """A combination, a target in the unit box and per-component factors.
+
+    Weights a_i / sum(a) reduce to different denominators, and the
+    barycenter adds weights up, so its lowest-terms denominator often
+    leaves some weight's denominator out (1/4 + 1/4 = 1/2).
+    """
+    n = draw(st.integers(1, 5))
+    points = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(BinaryPoint)
+    support = draw(st.lists(points, min_size=1, max_size=6, unique=True))
+    parts = draw(st.lists(st.integers(1, 12), min_size=len(support), max_size=len(support)))
+    combination = ConvexCombination(
+        {p: F(a, sum(parts)) for p, a in zip(support, parts)}
+    )
+    target = draw(st.lists(UNIT_RATIONALS, min_size=n, max_size=n))
+    factors = draw(st.lists(UNIT_RATIONALS, min_size=n, max_size=n))
+    return combination, target, factors
+
+
+# The weights 25/36, 1/12, 1/12 and 5/36 have a barycenter of (2/9, 2/9):
+# 36 does not divide 9.
+CANCELLING = ConvexCombination(
+    {
+        BinaryPoint([0, 0]): F(25, 36),
+        BinaryPoint([0, 1]): F(1, 12),
+        BinaryPoint([1, 0]): F(1, 12),
+        BinaryPoint([1, 1]): F(5, 36),
+    }
+)
+
+
+def assert_same_vector(vector, reference):
+    """``vector`` holds the values of ``reference`` and is in lowest terms."""
+    assert list(vector) == list(reference)
+    assert all(type(c) is Fraction for c in vector)
+    assert [vector[k] for k in range(len(reference))] == list(reference)
+    assert repr(vector) == repr(reference)
+    assert vector == RVector(reference)
+    assert hash(vector) == hash(RVector(reference))
+    assert vector.denominator > 0
+    assert math.gcd(vector.denominator, *vector.numerators) == 1
+
+
+class TestRVectorMatchesReference:
+    """The integer-numerator vector against tuple-of-Fraction semantics."""
+
+    @settings(deadline=None)
+    @given(vector_pairs(), RATIONALS)
+    @example(([F(1, 6), F(1, 3)], [F(1, 6), F(-2, 3)]), F(3))
+    def test_arithmetic(self, pair, factor):
+        a, b = pair
+        va, vb = RVector(a), RVector(b)
+        ra, rb = ReferenceVector(a), ReferenceVector(b)
+        assert_same_vector(va, ra)
+        assert_same_vector(va + vb, ra + rb)
+        assert_same_vector(va - vb, ra - rb)
+        assert_same_vector(va.scale(factor), ra.scale(factor))
+        assert_same_vector(clip_negative(va - vb), reference_clip_negative(ra - rb))
+        assert va.dot(vb) == ra.dot(rb)
+        assert squared_l2(va - vb) == reference_squared_l2(ra - rb)
+
+    @settings(deadline=None)
+    @given(vector_pairs(), st.integers(1, 12))
+    def test_equality_and_hash(self, pair, extra):
+        a, b = pair
+        va, vb = RVector(a), RVector(b)
+        assert (va == vb) == (ReferenceVector(a) == ReferenceVector(b))
+        # The same values over a larger common denominator reduce to the
+        # same vector.
+        den = extra * math.lcm(*(c.denominator for c in a))
+        wide = RVector.from_numerators([int(c * den) for c in a], den)
+        assert wide == va and hash(wide) == hash(va)
+        assert (va - va) == RVector([0] * len(a))
+        assert (va + vb) - vb == va
+
+    def test_from_numerators_rejects_bad_denominators(self):
+        with pytest.raises(ValueError):
+            RVector.from_numerators([1, 2], 0)
+        with pytest.raises(ValueError):
+            RVector.from_numerators([1, 2], -3)
+        with pytest.raises(ValueError):
+            RVector.from_numerators([], 1)
+
+    @settings(deadline=None)
+    @given(combination_cases())
+    @example((CANCELLING, [F(1, 2), F(1, 4)], [F(1), F(1, 2)]))
+    def test_barycenter_and_exact_steps(self, case):
+        combination, target, factors = case
+        sigma = combination.barycenter()
+        assert_same_vector(sigma, reference_barycenter(combination))
+        target = RVector(target)
+        # Slacks below, at and above the coordinate gaps' sum.
+        total_gap = l1_distance(target, sigma)
+        for slack in (total_gap - F(1, 72), total_gap, total_gap + F(1, 2)):
+            if slack < 0:
+                continue
+            try:
+                expected = reference_build_dominating(combination, target, slack)
+            except SlackTooSmall as refused:
+                with pytest.raises(SlackTooSmall) as caught:
+                    build_dominating(combination, target, slack)
+                assert str(caught.value) == str(refused)
+            else:
+                assert build_dominating(combination, target, slack) == expected
+        # Targets at or below the barycenter are reached exactly; one factor
+        # above 1 on a positive component is a dominance violation.
+        problem = cube_problem(combination.dim)
+        for grow in (F(1), F(3, 2)):
+            x = RVector(c * f * grow for c, f in zip(sigma, factors))
+            try:
+                expected = reference_reduce_to_exact(combination, x, problem)
+            except DominanceViolation as refused:
+                with pytest.raises(DominanceViolation) as caught:
+                    reduce_to_exact(combination, x, problem)
+                assert str(caught.value) == str(refused)
+            else:
+                assert reduce_to_exact(combination, x, problem) == expected

@@ -124,6 +124,10 @@ class TestKnapsackMatchesReference:
     @given(knapsack_cases())
     @example(([1, 1, 2], 2, [1, 1, 2]))
     @example(([1, 2, 1], 3, [0, 0, 0]))
+    # Densities 1/(2^20 - 1) < 1/(2^20 - 2) differ by less than 2^-40: an
+    # integer sort key must not tie them.
+    @example(([2**20 - 1, 2**20 - 2], 2**20 - 1, [1, 1]))
+    @example(([F(2**20 - 1, 3), F(2**20 - 2, 3), 5], F(2**20 - 1, 3), [1, 1, 1]))
     def test_answers_and_relaxed_optima(self, case):
         weights, capacity, mu = case
         inst = KnapsackInstance(weights, capacity)
