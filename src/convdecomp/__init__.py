@@ -1,13 +1,13 @@
 """Exact convex decomposition of scaled packing-relaxation optima.
 
 Given a packing problem, a gap verifier for it, and an optimum of its
-linear relaxation, this package expresses the optimum, scaled down by the
-gap constant and a small configurable slack, as a convex combination of
-feasible 0/1 points whose barycenter equals the scaled optimum bit for
-bit.  All arithmetic is exact rational.
+linear relaxation, this package expresses the optimum, divided by the gap
+constant and by 1 + s for a slack s of ceil(sqrt(n)) times the first
+phase's precision, as a convex combination of feasible 0/1 points whose
+barycenter equals the scaled optimum bit for bit.  All arithmetic is exact.
 """
 
-from .epsilon import decompose_epsilon, iteration_budget
+from .epsilon import decompose_epsilon
 from .errors import (
     DecompositionError,
     DimensionMismatch,
@@ -74,7 +74,6 @@ __all__ = [
     "clip_negative",
     "decompose_epsilon",
     "decompose_exact",
-    "iteration_budget",
     "load_instance",
     "minimum_slack",
     "reduce_to_exact",

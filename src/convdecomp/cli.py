@@ -20,7 +20,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -89,27 +89,15 @@ class RunStats:
     wall_time_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon_iterations": self.epsilon_iterations,
-            "final_squared_residual": str(self.final_squared_residual),
-            "support_size_epsilon": self.support_size_epsilon,
-            "exact_steps": self.exact_steps,
-            "support_size_dominating": self.support_size_dominating,
-            "support_size_final": self.support_size_final,
-            "wall_time_seconds": self.wall_time_seconds,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["final_squared_residual"] = str(self.final_squared_residual)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunStats":
-        return cls(
-            epsilon_iterations=data["epsilon_iterations"],
-            final_squared_residual=to_rational(data["final_squared_residual"]),
-            support_size_epsilon=data["support_size_epsilon"],
-            exact_steps=data["exact_steps"],
-            support_size_dominating=data["support_size_dominating"],
-            support_size_final=data["support_size_final"],
-            wall_time_seconds=data["wall_time_seconds"],
-        )
+        values = {f.name: data[f.name] for f in fields(cls)}
+        values["final_squared_residual"] = to_rational(values["final_squared_residual"])
+        return cls(**values)
 
 
 def _vector_to_strings(v: Optional[RVector]) -> Optional[List[str]]:
@@ -294,25 +282,19 @@ def sample(
 def run(config: RunConfig) -> DecompositionReport:
     """Execute one pipeline invocation and assemble its report."""
     problem = load_instance(config.instance)
+    given, name = (config.mu, "objective") if config.mu is not None else (config.xstar, "xstar")
+    if given.dim != problem.n:
+        raise ValueError(
+            f"{name} dimension {given.dim} does not match instance dimension {problem.n}"
+        )
+    xstar = config.xstar
     if config.mu is not None:
-        if config.mu.dim != problem.n:
-            raise ValueError(
-                f"objective dimension {config.mu.dim} does not match instance "
-                f"dimension {problem.n}"
-            )
         xstar = problem.relaxed_optimum(config.mu)
-    else:
-        xstar = config.xstar
-        if xstar.dim != problem.n:
-            raise ValueError(
-                f"xstar dimension {xstar.dim} does not match instance "
-                f"dimension {problem.n}"
-            )
-        if not problem.relaxation_contains(xstar):
-            raise ValueError(
-                f"xstar {','.join(str(c) for c in xstar)} is outside the "
-                f"relaxation of the {problem.kind} instance"
-            )
+    elif not problem.relaxation_contains(xstar):
+        raise ValueError(
+            f"xstar {','.join(str(c) for c in xstar)} is outside the "
+            f"relaxation of the {problem.kind} instance"
+        )
 
     started = time.perf_counter()
     if config.mode == "epsilon":

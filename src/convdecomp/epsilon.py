@@ -28,7 +28,6 @@ certificate instead of looping forever.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
@@ -79,14 +78,6 @@ class EpsilonRun:
     @property
     def iterations(self) -> int:
         return len(self.trace)
-
-
-def iteration_budget(n: int, epsilon: RationalLike) -> int:
-    """Worst-case number of passes: ceil(n / epsilon^2) - 1."""
-    eps = to_rational(epsilon)
-    if eps <= 0:
-        raise ValueError(f"epsilon must be positive, got {eps}")
-    return math.ceil(Fraction(n) / (eps * eps)) - 1
 
 
 class _Atom(NamedTuple):

@@ -34,6 +34,7 @@ from .geometry import (
     ConvexCombination,
     RVector,
     RationalLike,
+    rational_text,
     to_rational,
 )
 
@@ -110,7 +111,8 @@ def build_dominating(
     total_gap = Fraction(sum(gaps), difference.denominator)
     if total_gap > s:
         raise SlackTooSmall(
-            f"coordinate gaps sum to {total_gap}, exceeding the slack {s}"
+            f"coordinate gaps sum to {rational_text(total_gap)}, "
+            f"exceeding the slack {rational_text(s)}"
         )
     scale = _ONE / (_ONE + s)
     weights = {point: w * scale for point, w in combination.items()}
@@ -157,24 +159,24 @@ def reduce_to_exact(
     want = [c * (den // x.denominator) for c in x.numerators]
     for k in range(n):
         if want[k] < 0:
-            raise ValueError(f"target component {k} is negative: {x[k]}")
+            raise ValueError(f"target component {k} is negative: {rational_text(x[k])}")
         if have[k] < want[k]:
             raise DominanceViolation(
-                f"barycenter component {k} is {sigma[k]}, below the target {x[k]}"
+                f"barycenter component {k} is {rational_text(sigma[k])}, "
+                f"below the target {rational_text(x[k])}"
             )
 
     weights = {point: w.numerator * (den // w.denominator) for point, w in items}
     steps = 0
     for k in range(n):
-        while have[k] > want[k]:
-            candidates = [p for p in weights if p[k] == 1]
-            if not candidates:
-                raise DominanceViolation(
-                    f"no support point has a 1 at dimension {k} while the "
-                    f"barycenter still exceeds the target there"
-                )
+        surplus = have[k] - want[k]
+        if not surplus:
+            continue
+        # A step changes no other candidate's weight and adds no candidate,
+        # so they are collected once; together they carry the surplus.
+        candidates = [p for p in weights if p[k] == 1]
+        while surplus:
             y = min(candidates, key=lambda p: (-weights[p], p.bits))
-            surplus = have[k] - want[k]
             moved = weights[y] if weights[y] < surplus else surplus
             lowered = y.minus_unit(k)
             if not problem.feasible(lowered):
@@ -188,9 +190,10 @@ def reduce_to_exact(
                 weights[y] = remaining
             else:
                 del weights[y]
+                candidates.remove(y)
             weights[lowered] = weights.get(lowered, 0) + moved
-            have[k] -= moved
             steps += 1
+            surplus -= moved
     return ConvexCombination((p, Fraction(w, den)) for p, w in weights.items()), steps
 
 

@@ -323,7 +323,7 @@ class ConvexCombination:
                 raise TypeError(f"support keys must be BinaryPoint, got {point!r}")
             w = to_rational(raw)
             if w < 0:
-                raise ValueError(f"negative weight {w} for {point!r}")
+                raise ValueError(f"negative weight {rational_text(w)} for {point!r}")
             if w == 0:
                 continue
             merged[point] = merged.get(point, _ZERO) + w
@@ -334,7 +334,7 @@ class ConvexCombination:
             raise DimensionMismatch(f"support points have mixed dimensions {sorted(dims)}")
         total = sum(merged.values(), _ZERO)
         if total != _ONE:
-            raise ValueError(f"weights sum to {total}, expected exactly 1")
+            raise ValueError(f"weights sum to {rational_text(total)}, expected exactly 1")
         self._items = tuple(sorted(merged.items(), key=lambda kv: kv[0].bits))
 
     @classmethod

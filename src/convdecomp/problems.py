@@ -30,13 +30,13 @@ from .geometry import (
     ConvexCombination,
     RVector,
     RationalLike,
+    rational_text,
     squared_l2,
     to_rational,
 )
 from .verifier import ExtendedVerifier, GapVerifier
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class PackingProblem(ABC):
@@ -360,9 +360,10 @@ def validate_decomposition(
 ) -> ValidationReport:
     """Re-derive every guarantee a finished decomposition must satisfy.
 
-    Checks that the weights are positive and sum to exactly 1 and that every
-    support point is feasible.  Without ``epsilon`` the barycenter must equal
-    the target bit for bit; by linearity the expected value of any objective
+    The combination's constructor already guarantees positive weights that
+    sum to exactly 1; this checks the dimensions and that every support
+    point is feasible.  Without ``epsilon`` the barycenter must equal the
+    target bit for bit; by linearity the expected value of any objective
     ``mu`` then equals ``mu . target``, so no objective is compared.  With
     ``epsilon`` (a precision-phase output) the squared distance from the
     barycenter to the target must equal the reported ``squared_residual``,
@@ -370,13 +371,6 @@ def validate_decomposition(
     than raised.
     """
     failures: List[str] = []
-    total = _ZERO
-    for point, weight in combination.items():
-        total += weight
-        if weight <= 0:
-            failures.append(f"weight of {list(point.bits)} is {weight}, not positive")
-    if total != _ONE:
-        failures.append(f"weights sum to {total}, not exactly 1")
     if combination.dim != problem.n:
         failures.append(
             f"combination dimension {combination.dim} does not match problem "
@@ -397,18 +391,20 @@ def validate_decomposition(
             for k in range(target.dim):
                 if sigma[k] != target[k]:
                     failures.append(
-                        f"barycenter component {k} is {sigma[k]}, target wants {target[k]}"
+                        f"barycenter component {k} is {rational_text(sigma[k])}, "
+                        f"target wants {rational_text(target[k])}"
                     )
     else:
         actual = squared_l2(target - combination.barycenter())
         if squared_residual is not None and actual != squared_residual:
             failures.append(
-                f"recomputed squared residual {actual} differs from reported "
-                f"{squared_residual}"
+                f"recomputed squared residual {rational_text(actual)} differs "
+                f"from reported {rational_text(squared_residual)}"
             )
         if actual > epsilon * epsilon:
             failures.append(
-                f"squared residual {actual} exceeds epsilon^2 = {epsilon * epsilon}"
+                f"squared residual {rational_text(actual)} exceeds "
+                f"epsilon^2 = {rational_text(epsilon * epsilon)}"
             )
     return ValidationReport(failures=tuple(failures))
 

@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -32,6 +33,14 @@ ENUMERATION_LIMIT = 16
 def cube_problem(n):
     """Explicit problem whose feasible set is the whole 0/1 cube."""
     return ExplicitProblem(n, [BinaryPoint([1] * n)])
+
+
+def iteration_budget(n: int, epsilon) -> int:
+    """Worst-case number of precision-phase passes: ceil(n / epsilon^2) - 1."""
+    eps = to_rational(epsilon)
+    if eps <= 0:
+        raise ValueError(f"epsilon must be positive, got {eps}")
+    return math.ceil(Fraction(n) / (eps * eps)) - 1
 
 
 def random_explicit_problem(rng: random.Random, n: int, eligible=True, max_seeds=None):

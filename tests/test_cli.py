@@ -310,6 +310,31 @@ class TestReportRoundTrip:
         )
 
 
+class TestRunStats:
+    STATS = RunStats(
+        epsilon_iterations=4,
+        final_squared_residual=F(1, 300),
+        support_size_epsilon=3,
+        exact_steps=None,
+        support_size_dominating=None,
+        support_size_final=3,
+        wall_time_seconds=0.5,
+    )
+
+    def test_round_trip_without_exact_steps(self):
+        assert RunStats.from_dict(self.STATS.to_dict()) == self.STATS
+
+    def test_unknown_key_is_ignored(self):
+        data = dict(self.STATS.to_dict(), peak_rss_mb=12)
+        assert RunStats.from_dict(data) == self.STATS
+
+    def test_missing_key_raises_key_error(self):
+        data = self.STATS.to_dict()
+        del data["support_size_epsilon"]
+        with pytest.raises(KeyError, match="support_size_epsilon"):
+            RunStats.from_dict(data)
+
+
 class TestReportText:
     @settings(deadline=None)
     @given(report=reports())

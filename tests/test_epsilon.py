@@ -14,7 +14,6 @@ from convdecomp import (
     RVector,
     VerifierGapViolation,
     decompose_epsilon,
-    iteration_budget,
     squared_l2,
 )
 from convdecomp.epsilon import _atom, _nearest
@@ -22,6 +21,7 @@ from helpers import (
     OriginVerifier,
     cube_problem,
     feasible_points,
+    iteration_budget,
     random_combination,
     random_explicit_problem,
     random_knapsack_problem,

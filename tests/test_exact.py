@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from helpers import (
     random_explicit_problem,
     random_knapsack_problem,
     random_nonneg_mu,
+    reference_reduce_to_exact,
 )
 
 F = Fraction
@@ -108,6 +110,16 @@ class TestBuildDominating:
         with pytest.raises(SlackTooSmall):
             build_dominating(lam, RVector(["1/2", "1/2"]), F(1, 2))
 
+    def test_slack_past_the_int_str_limit_is_reported_by_size(self):
+        q = 10 ** (sys.get_int_max_str_digits() + 10) + 1
+        lam = ConvexCombination.point_mass(BinaryPoint([0, 0]))
+        with pytest.raises(SlackTooSmall) as raised:
+            build_dominating(lam, RVector(["1/2", "1/2"]), F(1, q))
+        assert str(raised.value) == (
+            f"coordinate gaps sum to 1, exceeding the slack "
+            f"<rational of 1 bits over {q.bit_length()} bits>"
+        )
+
     def test_dominance_property_randomized(self):
         rng = random.Random(41)
         for _ in range(120):
@@ -167,6 +179,26 @@ class TestReduceToExact:
         assert steps == 2
         assert result == ConvexCombination(
             {BinaryPoint([0, 1]): F(1, 4), BinaryPoint([0, 0]): F(3, 4)}
+        )
+
+    def test_ties_on_weight_go_by_bits(self):
+        # Dimension 0 lowers (1,1,0) to (0,1,0), which joins the end of the
+        # support; dimension 1 then takes three moves over three candidates
+        # of weight 1/3, and only the order by bits splits (1,1,1) last.
+        problem = cube_problem(3)
+        lam = ConvexCombination(
+            {BinaryPoint(bits): "1/3" for bits in ([0, 1, 1], [1, 1, 0], [1, 1, 1])}
+        )
+        target = RVector(["1/3", "1/4", "1/3"])
+        result, steps = reduce_to_exact(lam, target, problem)
+        assert (result, steps) == reference_reduce_to_exact(lam, target, problem)
+        assert steps == 5
+        assert result == ConvexCombination(
+            {
+                BinaryPoint([0, 0, 0]): F(2, 3),
+                BinaryPoint([1, 0, 1]): F(1, 12),
+                BinaryPoint([1, 1, 1]): F(1, 4),
+            }
         )
 
     def test_dominance_violation_detected_upfront(self):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,11 @@ class TestConvexCombination:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             ConvexCombination({BinaryPoint([0, 1]): F(1, 2)})
+
+    def test_weight_sum_past_the_int_str_limit_is_reported_by_size(self):
+        q = 10 ** (sys.get_int_max_str_digits() + 10) + 1
+        with pytest.raises(ValueError, match=r"^weights sum to <rational of \d+ bits over"):
+            ConvexCombination({BinaryPoint([0, 1]): 1 - F(1, q)})
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):

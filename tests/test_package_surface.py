@@ -1,6 +1,7 @@
 """The package's surface: standard-library imports only, no private helper
-left unused, every name the benchmark scripts import from it still
-resolves, and the benchmark's self-test passes against it."""
+left unused, no export that only the tests call, every name the benchmark
+scripts import from it still resolves, and the benchmark's self-test passes
+against it."""
 
 import ast
 import importlib
@@ -60,6 +61,35 @@ def test_every_private_helper_is_used():
                 assert used[node.name] > inside[node.name], (
                     f"{node.name} is defined but never used in src/convdecomp"
                 )
+
+
+def test_every_export_has_a_caller():
+    """Each name in ``__all__`` is referenced by another module of the
+    package or imported by the benchmark; an oracle only the tests call
+    belongs in tests/helpers.py."""
+    used = set()
+    for path in (ROOT / "src" / "convdecomp").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    for path in BENCH.glob("*.py"):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("convdecomp"):
+                used.update(alias.name for alias in node.names)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "convdecomp"
+            ):
+                used.add(node.attr)
+    unused = sorted(set(importlib.import_module("convdecomp").__all__) - used)
+    assert not unused, f"exported but called only by the tests: {unused}"
 
 
 @pytest.mark.parametrize("script", ["harness.py", "selftest.py"])

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -304,6 +305,19 @@ class TestValidateDecomposition:
         assert report.failures == (
             "recomputed squared residual 1/2 differs from reported 1/4",
         )
+
+    def test_mismatch_past_the_int_str_limit_is_itemized(self):
+        # The barycenter's denominator q stays under the interpreter's
+        # int-to-string limit; the target's, about q^2, passes it.
+        q = 10 ** (sys.get_int_max_str_digits() // 2 + 50) + 1
+        problem = ExplicitProblem(2, [BinaryPoint([1, 1])])
+        lam = ConvexCombination(
+            {BinaryPoint([1, 0]): F(1, q), BinaryPoint([0, 0]): 1 - F(1, q)}
+        )
+        target = RVector([F(1, (q + 2) ** 2 + 7), 0])
+        report = validate_decomposition(problem, lam, target)
+        (failure,) = report.failures
+        assert failure.startswith(f"barycenter component 0 is 1/{q}, target wants <rational of")
 
 class TestLoadInstance:
     def test_knapsack_file(self, tmp_path):
