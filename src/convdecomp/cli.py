@@ -22,6 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
 
 from .epsilon import decompose_epsilon
@@ -40,6 +41,7 @@ from .problems import (
 )
 
 _ONE = Fraction(1)
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -126,21 +128,33 @@ def _write_json(value, pad: str, seen: dict, out: List[str]) -> None:
 
     A JSON string holds no raw newline, so nesting only adds ``pad`` after
     every newline.  Dicts and lists of containers are walked; any other value
-    is encoded once by ``json.dumps`` and re-indented once per depth it
-    appears at.  A value met again, by ``id``, reuses that text, so a point
-    drawn a thousand times is encoded once; the walked dict keeps every value
-    alive, so no ``id`` is reused during the walk.
+    is encoded once and laid out once per depth it appears at.  A value met
+    again, by ``id``, reuses that text, so a point drawn a thousand times is
+    encoded once and appended as that one string; the walked dict keeps
+    every value alive, so no ``id`` is reused during the walk.
     """
+    inner = pad + "  "
     if isinstance(value, dict) and value:
         opening, closing = "{", "}"
         fields = [(json.dumps(key) + ": ", item) for key, item in value.items()]
     elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        if set(map(type, value)) == {list}:
+            # Rows, such as the samples: one fetch per distinct row, no join.
+            texts: dict = {}
+            separator, between = "[\n" + inner, ",\n" + inner
+            for item in value:
+                text = texts.get(id(item))
+                if text is None:
+                    text = texts[id(item)] = _leaf_json(item, inner, seen)
+                out += (separator, text)
+                separator = between
+            out.append("\n" + pad + "]")
+            return
         opening, closing = "[", "]"
         fields = [("", item) for item in value]
     else:
         out.append(_leaf_json(value, pad, seen))
         return
-    inner = pad + "  "
     separator = "\n" + inner
     out.append(opening)
     for label, item in fields:
@@ -154,12 +168,32 @@ def _leaf_json(value, pad: str, seen: dict) -> str:
     key = (id(value), pad)
     text = seen.get(key)
     if text is None:
-        if pad:
-            text = _leaf_json(value, "", seen).replace("\n", "\n" + pad)
+        if id(value) not in seen:
+            seen[id(value)] = _flat_items(value)
+        items, inner = seen[id(value)], pad + "  "
+        if items is None:
+            text = json.dumps(value, indent=2).replace("\n", "\n" + pad)
+        elif isinstance(items, bytes):  # a bit row: each digit is written in place
+            separator = (",\n" + inner).encode()
+            row = bytearray((b"0" + separator) * len(items))
+            row[:: len(separator) + 1] = items
+            text = "[\n" + inner + row[: -len(separator)].decode() + "\n" + pad + "]"
         else:
-            text = json.dumps(value, indent=2)
+            text = "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
         seen[key] = text
     return text
+
+
+def _flat_items(value):
+    """C-level item texts of a nonempty flat list of exact ints (digits as
+    bytes if all are 0 or 1) or of strings, else None.  Bools are not exact
+    ints: ``json.dumps`` writes them as ``true`` and ``false``."""
+    kinds = set(map(type, value)) if isinstance(value, list) else None
+    if kinds == {int} and {0, 1}.issuperset(value):
+        return bytes(value).translate(_BIT_DIGITS)
+    if kinds == {int} or kinds == {str}:
+        return list(map(str if kinds == {int} else encode_basestring_ascii, value))
+    return None
 
 
 @dataclass(frozen=True)
@@ -183,14 +217,7 @@ class DecompositionReport:
     def to_dict(self) -> dict:
         """The report's JSON schema.  Equal points share one bit list, so a
         point drawn many times is one list object referenced many times."""
-        rows: dict = {}
-
-        def row(point: BinaryPoint) -> List[int]:
-            bits = rows.get(point)
-            if bits is None:
-                bits = rows[point] = list(point.bits)
-            return bits
-
+        rows = {point: list(point.bits) for point in {*self.support, *self.samples}}
         return {
             "problem_kind": self.problem_kind,
             "n": self.n,
@@ -202,7 +229,7 @@ class DecompositionReport:
             "xstar": _vector_to_strings(self.xstar),
             "target": _vector_to_strings(self.target),
             "support": [
-                {"point": row(point), "weight": str(weight)}
+                {"point": rows[point], "weight": str(weight)}
                 for point, weight in self.support.items()
             ],
             "stats": self.stats.to_dict(),
@@ -214,7 +241,7 @@ class DecompositionReport:
                     "failures": list(self.verification.failures),
                 }
             ),
-            "samples": [row(p) for p in self.samples],
+            "samples": list(map(rows.__getitem__, self.samples)),
         }
 
     @classmethod

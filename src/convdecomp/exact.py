@@ -79,8 +79,7 @@ def unit_points_feasible(problem: "PackingProblem") -> bool:
     Exact decomposition needs all of them: the dominating construction pads
     with unit vectors, so an infeasible one makes the instance ineligible.
     """
-    n = problem.n
-    return all(problem.feasible(BinaryPoint.unit(n, k)) for k in range(n))
+    return all(map(problem.feasible, BinaryPoint.units(problem.n)))
 
 
 def build_dominating(
@@ -220,7 +219,7 @@ def decompose_exact(
     if xstar.dim != n:
         raise ValueError(f"xstar dimension {xstar.dim} does not match problem dimension {n}")
     if not unit_points_feasible(problem):
-        bad = [k for k in range(n) if not problem.feasible(BinaryPoint.unit(n, k))]
+        bad = [k for k, unit in enumerate(BinaryPoint.units(n)) if not problem.feasible(unit)]
         raise IneligibleInstanceError(
             "instance is not decomposition-eligible: unit vector infeasible "
             f"at dimension(s) {bad}"

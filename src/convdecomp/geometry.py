@@ -198,9 +198,10 @@ def squared_l2(v: RVector) -> Fraction:
 
 
 class BinaryPoint:
-    """A 0/1 lattice point, hashable and ordered lexicographically."""
+    """A 0/1 lattice point, hashable (the hash is kept once computed) and
+    ordered lexicographically."""
 
-    __slots__ = ("_bits", "_ones")
+    __slots__ = ("_bits", "_ones", "_hash")
 
     def __init__(self, bits: Iterable[int]):
         bs = tuple(bits)
@@ -222,14 +223,28 @@ class BinaryPoint:
         return cls([0] * dim)
 
     @classmethod
+    def _trusted(cls, bits: Tuple[int, ...], ones: Tuple[int, ...]) -> "BinaryPoint":
+        """A point on ``bits``, a tuple of int 0s and 1s whose 1s sit at ``ones``."""
+        point = object.__new__(cls)
+        point._bits = bits
+        point._ones = ones
+        return point
+
+    @classmethod
     def unit(cls, dim: int, k: int) -> "BinaryPoint":
         """The point whose only 1 sits at index ``k``."""
         if not 0 <= k < dim:
             raise IndexError(f"unit index {k} out of range for dimension {dim}")
-        point = object.__new__(cls)  # the bits are valid by construction
-        point._bits = (0,) * k + (1,) + (0,) * (dim - k - 1)
-        point._ones = (k,)
-        return point
+        return cls._trusted((0,) * k + (1,) + (0,) * (dim - k - 1), (k,))
+
+    @classmethod
+    def units(cls, dim: int) -> Iterator["BinaryPoint"]:
+        """The unit points e_0, ..., e_{dim-1}, each copied from one reused buffer."""
+        buffer = [0] * dim
+        for k in range(dim):
+            buffer[k] = 1
+            yield cls._trusted(tuple(buffer), (k,))
+            buffer[k] = 0
 
     @property
     def dim(self) -> int:
@@ -269,7 +284,7 @@ class BinaryPoint:
             raise ValueError(f"component {k} is 0, cannot lower it")
         bits = list(self._bits)
         bits[k] = 0
-        return BinaryPoint(bits)
+        return BinaryPoint._trusted(tuple(bits), tuple(filter(bits.__getitem__, self._ones)))
 
     def dominates(self, other: "BinaryPoint") -> bool:
         """Componentwise ``self >= other``."""
@@ -291,7 +306,11 @@ class BinaryPoint:
         return self._bits < other._bits
 
     def __hash__(self) -> int:
-        return hash(self._bits)
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self._bits)
+            return self._hash
 
     def __repr__(self) -> str:
         return f"BinaryPoint({list(self._bits)})"

@@ -463,8 +463,8 @@ def load_instance(source: Union[str, Path, dict]) -> PackingProblem:
         try:
             points = []
             for row in rows:
-                if any(isinstance(b, bool) for b in row):
-                    raise TypeError(f"point bits must be 0 or 1, not booleans: {row!r}")
+                if any(type(b) is not int for b in row):  # a JSON float is already rounded
+                    raise TypeError(f"point bits must be the integers 0 or 1: {row!r}")
                 points.append(BinaryPoint(row))
             return ExplicitProblem(n, points)
         except (TypeError, ValueError) as bad:

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -335,7 +336,72 @@ class TestRunStats:
             RunStats.from_dict(data)
 
 
+JSON_TEXT = st.text() | st.sampled_from(AWKWARD_FAILURES)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200).flatmap(lambda big: st.sampled_from([big, -big]))
+    | JSON_TEXT
+)
+# Flat lists of bits, of other ints and of strings take the writer's fast
+# paths, so they are drawn directly as well as by the recursion.
+JSON_LEAVES = (
+    JSON_SCALARS
+    | st.lists(st.integers(0, 1), min_size=1)
+    | st.lists(st.integers(-3, 300), min_size=1)
+    | st.lists(st.booleans() | st.integers(0, 1), min_size=1)
+    | st.lists(JSON_TEXT, min_size=1)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children) | st.dictionaries(JSON_TEXT, children),
+    max_leaves=30,
+)
+
+
+@st.composite
+def shared_json(draw):
+    """A list of values drawn from a small pool, so equal lists are one
+    object reached many times, as the report's sampled rows are."""
+    pool = draw(st.lists(JSON_VALUES, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), max_size=20))
+
+
+SHARED_ROW = [0, 1, 1]
+
+
 class TestReportText:
+    @settings(deadline=None)
+    @given(value=JSON_VALUES | shared_json())
+    @example(value=[True, False, True])
+    @example(value=[0, 1, 2])
+    @example(value=[])
+    @example(value=[[]])
+    @example(value={"row": SHARED_ROW, "rows": [SHARED_ROW, [SHARED_ROW]], "deep": [[[SHARED_ROW]]]})
+    def test_writer_matches_the_standard_library(self, value):
+        out = []
+        cli._write_json(value, "", {}, out)
+        assert "".join(out) == json.dumps(value, indent=2)
+
+    def test_text_is_built_in_one_copy(self):
+        """A writer that joined the samples before the final join would
+        hold the text twice: 2x its length or more."""
+        rng = random.Random(17)
+        support = [BinaryPoint([rng.randint(0, 1) for _ in range(512)]) for _ in range(3)]
+        report = make_report(
+            ConvexCombination({p: F(1, 3) for p in support}),
+            samples=[rng.choice(support) for _ in range(1000)],
+        )
+        tracemalloc.start()
+        try:
+            text = report.to_json()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == reference_to_json(report)
+        assert peak < 1.5 * len(text)
+
     @settings(deadline=None)
     @given(report=reports())
     @example(
@@ -474,6 +540,15 @@ class TestMain:
         path.write_text(json.dumps(data))
         rc = main(["--instance", str(path), "--mu", mu, "--epsilon", "1/2"])
         assert rc == 4
+
+    @pytest.mark.parametrize("bits", ["0.99999999999999999, 1e0", "1.0, 1", "0, 0.0"])
+    def test_json_float_bit_in_instance_exits_4(self, tmp_path, capsys, bits):
+        # Raw text: json.dumps would print the parsed float, 1.0, not the literal.
+        path = tmp_path / "floats.json"
+        path.write_text('{"problem": "explicit", "n": 2, "points": [[%s]]}' % bits)
+        rc = main(["--instance", str(path), "--xstar", "1/2,1/2", "--epsilon", "1"])
+        assert rc == 4
+        assert "point bits must be the integers 0 or 1" in capsys.readouterr().err
 
     def test_failed_exact_verification_exits_2_with_report(
         self, cube_file, tmp_path, capsys, monkeypatch

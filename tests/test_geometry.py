@@ -176,6 +176,38 @@ class TestBinaryPointFastPaths:
         assert (fast < other) == (slow < other)
         assert (other < fast) == (other < slow)
 
+    @given(st.integers(1, 40))
+    def test_units_match_unit(self, n):
+        units = list(BinaryPoint.units(n))
+        expected = [BinaryPoint.unit(n, k) for k in range(n)]
+        assert [p.bits for p in units] == [p.bits for p in expected]
+        assert [p.ones() for p in units] == [p.ones() for p in expected]
+        assert [hash(p) for p in units] == [hash(p) for p in expected]
+        assert sorted(units) == sorted(expected)
+        assert units == expected
+        # Each point owns its bits: none is a view of the reused buffer.
+        assert len({id(p.bits) for p in units}) == n
+
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=40), st.data())
+    def test_minus_unit_matches_the_constructor(self, bits, data):
+        k = data.draw(st.integers(0, len(bits) - 1))
+        bits[k] = 1
+        point = BinaryPoint(bits)
+        slow = BinaryPoint([0 if j == k else b for j, b in enumerate(bits)])
+        # The same component counted from the front and from the back.
+        for fast in (point.minus_unit(k), point.minus_unit(k - len(bits))):
+            assert fast.bits == slow.bits
+            assert fast.ones() == slow.ones()
+            assert hash(fast) == hash(slow)
+            assert fast == slow
+
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=40))
+    def test_hash_is_the_hash_of_the_bits_before_and_after_caching(self, bits):
+        for point in (BinaryPoint(bits), BinaryPoint.unit(len(bits), 0),
+                      BinaryPoint.origin(len(bits))):
+            assert hash(point) == hash(point.bits)
+            assert hash(point) == hash(point.bits)
+
     @pytest.mark.parametrize(
         "raw, message",
         [
